@@ -20,6 +20,8 @@ HandshakeJoinEngine::HandshakeJoinEngine(HandshakeJoinConfig cfg,
             "window must hold at least one tuple per core");
   HAL_CHECK(cfg_.window_size % cfg_.num_cores == 0,
             "window_size must be a multiple of num_cores");
+  HAL_CHECK(cfg_.input_queue_capacity >= 1,
+            "a zero-capacity boundary queue would stall the chain");
   pure_key_equi_ = spec_.is_pure_key_equi();
   const std::size_t sub_window = cfg_.window_size / cfg_.num_cores;
   for (std::uint32_t i = 0; i < cfg_.num_cores; ++i) {
@@ -39,10 +41,30 @@ HandshakeJoinEngine::~HandshakeJoinEngine() {
   for (auto& t : threads_) t.join();
 }
 
-void HandshakeJoinEngine::enter(std::uint32_t i, const Tuple& t,
+bool HandshakeJoinEngine::enter(std::uint32_t i, const Tuple& t,
                                 const std::deque<Tuple>* extra) {
   Core& core = *cores_[i];
   const bool is_r = t.origin == StreamId::R;
+  IndexedSoaWindow& own = is_r ? core.win_r : core.win_s;
+
+  // Admission, the hardware chain's rule: a full sub-window takes `t` only
+  // if its oldest tuple has somewhere to go. R evicts rightward onto
+  // boundary[i], S leftward onto boundary[i-1]; past the chain ends the
+  // evicted tuple expires. Toward a neighbour, the eviction queue must
+  // hold fewer than input_queue_capacity tuples. This core is that queue's
+  // only producer, so the headroom seen here cannot vanish before the push
+  // below. A refused tuple is neither scanned nor stored.
+  Boundary* out = nullptr;
+  if (own.size() == own.capacity()) {
+    if (is_r && i + 1 < cfg_.num_cores) out = boundaries_[i].get();
+    if (!is_r && i > 0) out = boundaries_[i - 1].get();
+  }
+  if (out != nullptr) {
+    std::lock_guard<std::mutex> lk(out->mu);
+    if ((is_r ? out->r_q : out->s_q).size() >= cfg_.input_queue_capacity) {
+      return false;
+    }
+  }
 
   // Entry scan: opposite sub-window plus the still-resident occupants of
   // the opposite eviction queue on the entry boundary. The sub-window leg
@@ -82,27 +104,17 @@ void HandshakeJoinEngine::enter(std::uint32_t i, const Tuple& t,
     ++core.entries;
   }
 
-  // Store + evict. R evicts rightward onto boundary[i], S leftward onto
-  // boundary[i-1]; past the chain ends the tuple expires.
-  IndexedSoaWindow& own = is_r ? core.win_r : core.win_s;
-  if (own.size() == own.capacity()) {
-    const Tuple evicted = own.oldest();
-    if (is_r && i + 1 < cfg_.num_cores) {
-      // The handover stays in flight: count it before this entry retires
-      // so the pending count can never dip to zero mid-chain.
-      pending_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (obs::kEnabled) ++core.handovers;
-      std::lock_guard<std::mutex> lk(boundaries_[i]->mu);
-      boundaries_[i]->r_q.push_back(evicted);
-    } else if (!is_r && i > 0) {
-      pending_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (obs::kEnabled) ++core.handovers;
-      std::lock_guard<std::mutex> lk(boundaries_[i - 1]->mu);
-      boundaries_[i - 1]->s_q.push_back(evicted);
-    }
-    // else: traversed the full window — expired.
+  // Store + evict.
+  if (out != nullptr) {
+    // The handover stays in flight: count it before this entry retires
+    // so the pending count can never dip to zero mid-chain.
+    pending_.fetch_add(1, std::memory_order_relaxed);
+    if constexpr (obs::kEnabled) ++core.handovers;
+    std::lock_guard<std::mutex> lk(out->mu);
+    (is_r ? out->r_q : out->s_q).push_back(own.oldest());
   }
   own.insert(t);
+  return true;
 }
 
 void HandshakeJoinEngine::core_loop(std::uint32_t i) {
@@ -127,31 +139,45 @@ void HandshakeJoinEngine::core_loop(std::uint32_t i) {
     const bool r_first = prefer_r;
     prefer_r = !prefer_r;
 
-    // Fresh input at the chain ends (either stream for a 1-core chain).
-    auto try_input = [&] {
-      if (!leftmost && !rightmost) return false;
-      BatchPtr batch;
-      if (core.batch_input.try_pop(batch)) {
-        for (std::size_t k = 0; k < batch->size(); ++k) {
-          enter(i, batch->tuple_at(k), nullptr);
-        }
-        retire(batch->size());
-        return true;
+    // Fresh input at the chain ends (either stream for a 1-core chain),
+    // entered tuple by tuple. A tuple refused by backpressure stays parked
+    // (a batch part-entered behind its cursor) and is retried on the next
+    // pass; the batch still retires whole, with one release RMW.
+    auto try_batch = [&] {
+      if (core.parked == nullptr && !core.batch_input.try_pop(core.parked)) {
+        return false;
       }
-      Tuple t;
-      if (!core.input.try_pop(t)) return false;
-      enter(i, t, nullptr);
+      const std::size_t start = core.cursor;
+      while (core.cursor < core.parked->size() &&
+             enter(i, core.parked->tuple_at(core.cursor), nullptr)) {
+        ++core.cursor;
+      }
+      if (core.cursor < core.parked->size()) return core.cursor > start;
+      retire(core.parked->size());
+      core.parked.reset();
+      core.cursor = 0;
+      return true;
+    };
+    auto try_tuple = [&] {
+      if (!core.holding && !core.input.try_pop(core.held)) return false;
+      core.holding = !enter(i, core.held, nullptr);
+      if (core.holding) return false;
       retire(1);
       return true;
     };
+    auto try_input = [&] {
+      return (leftmost || rightmost) && (try_batch() || try_tuple());
+    };
+    // A boundary tuple refused by backpressure stays at the head of its
+    // queue, still visible to the crossing scans of the core it left.
     auto try_r = [&] {
       if (leftmost) return false;
       Boundary& b = *boundaries_[i - 1];
       std::unique_lock<std::mutex> lk(b.mu);
       if (b.r_q.empty()) return false;
-      const Tuple t = b.r_q.front();
+      // Lock held across the scan: atomic crossing.
+      if (!enter(i, b.r_q.front(), &b.s_q)) return false;
       b.r_q.pop_front();
-      enter(i, t, &b.s_q);  // lock held across the scan: atomic crossing
       lk.unlock();
       retire(1);
       return true;
@@ -161,9 +187,8 @@ void HandshakeJoinEngine::core_loop(std::uint32_t i) {
       Boundary& b = *boundaries_[i];
       std::unique_lock<std::mutex> lk(b.mu);
       if (b.s_q.empty()) return false;
-      const Tuple t = b.s_q.front();
+      if (!enter(i, b.s_q.front(), &b.r_q)) return false;
       b.s_q.pop_front();
-      enter(i, t, &b.r_q);
       lk.unlock();
       retire(1);
       return true;
@@ -328,6 +353,12 @@ bool HandshakeJoinEngine::restore_state(const core::WindowImage& image) {
       return false;
     }
   }
+  for (const auto& src : image.boundaries) {
+    if (src.r_q.size() > cfg_.input_queue_capacity ||
+        src.s_q.size() > cfg_.input_queue_capacity) {
+      return false;
+    }
+  }
   SpinBackoff backoff;
   while (pending_.load(std::memory_order_acquire) != 0) backoff.pause();
   for (std::uint32_t i = 0; i < cfg_.num_cores; ++i) {
@@ -337,6 +368,12 @@ bool HandshakeJoinEngine::restore_state(const core::WindowImage& image) {
     // rebuild (the batched rebuild path, as in SplitJoin's restore).
     core.win_r.load(src.win_r.data(), src.win_r.size());
     core.win_s.load(src.win_s.data(), src.win_s.size());
+  }
+  // Restored queue occupants are handovers in flight: count them before
+  // the cores can take them, so each one's retire has a unit to release.
+  for (const auto& src : image.boundaries) {
+    pending_.fetch_add(src.r_q.size() + src.s_q.size(),
+                       std::memory_order_relaxed);
   }
   for (std::size_t b = 0; b < boundaries_.size(); ++b) {
     Boundary& boundary = *boundaries_[b];

@@ -12,6 +12,17 @@
 // crossing observable exactly once — the same discipline the hardware
 // HandshakeChannel enforces with its one-transfer-at-a-time lock.
 //
+// The eviction queues are bounded, as the hardware chain's channels are: a
+// core stores a tuple only if its own sub-window has room, the tuple's
+// stream ends at this core (the evicted tuple expires), or the eviction
+// queue toward the next core holds fewer than `input_queue_capacity`
+// tuples. Otherwise the tuple is not taken and waits where it is: at the
+// head of its boundary queue (still visible to crossing scans) or behind
+// the chain end's input cursor. The queues, and with them the window each
+// crossing scan sees, cannot grow while a neighbour is descheduled. R
+// backpressure flows only rightward and S only leftward toward chain ends
+// that always drain, so no wait cycle can form.
+//
 // Lock acquisition is ordered (entry boundary first, eviction boundary
 // second; R operations lean rightward, S leftward), which excludes
 // deadlock cycles on the boundary mutexes.
@@ -21,10 +32,12 @@
 // enters the batch's tuples in arrival order and retires the whole batch
 // with a single release RMW on `pending_`. Entry scans use the same
 // vectorized contiguous-key kernel as SplitJoin when the spec is a pure
-// key equi-join. Batching widens the feeder decoupling (the ordering-
-// precision knob below now counts batches, not tuples), which multi-core
-// tests must absorb with the usual window tolerance; a 1-core chain
-// consumes mixed batches in exact arrival order and stays an exact oracle.
+// key equi-join. Batching widens the feeder decoupling (the end queues
+// below count batches, not tuples); the bounded boundary queues keep the
+// multi-core chain within the same window tolerance as the tuple path. A
+// batch that meets backpressure is entered part-way and resumed, never
+// split or dropped. A 1-core chain consumes mixed batches in exact
+// arrival order and stays an exact oracle.
 #pragma once
 
 #include <atomic>
@@ -51,12 +64,16 @@ namespace hal::sw {
 struct HandshakeJoinConfig {
   std::uint32_t num_cores = 4;
   std::size_t window_size = 1 << 12;  // per stream, summed across cores
-  // Deliberately small: the feeder blocks on a full end queue, which keeps
-  // the two streams' processing order close to their merged arrival order.
-  // This is the software analogue of the hardware chain's rendezvous
-  // backpressure, and the knob behind "adjustable ordering precision" in
-  // the SplitJoin paper's terminology — a larger queue trades window-
-  // semantics fidelity for feeder decoupling.
+  // Bounds every queue in the chain: the feeder's end queues (entries:
+  // tuples, or batches on the batched path) and each boundary eviction
+  // queue (tuples). Deliberately small: the feeder blocks on a full end
+  // queue and a core refuses a tuple whose eviction would overfill its
+  // boundary queue, which keeps the two streams' processing order close
+  // to their merged arrival order. This is the software analogue of the
+  // hardware chain's rendezvous backpressure, and the knob behind
+  // "adjustable ordering precision" in the SplitJoin paper's terminology —
+  // a larger queue trades window-semantics fidelity for decoupling.
+  // Must be at least 1.
   std::size_t input_queue_capacity = 4;
   // Equi-probe strategy of the sub-window entry scan (see
   // sw/probe_path.h); boundary-queue scans stay scalar either way.
@@ -92,7 +109,8 @@ class HandshakeJoinEngine {
   // sub-windows in age order plus the boundary eviction queues (whose
   // occupants are still logically resident). Both wait for a drained chain
   // (pending_ == 0) before touching state; restore_state returns false
-  // (chain untouched) on a core-count/window-size/shape mismatch.
+  // (chain untouched) on a core-count/window-size/shape mismatch or on an
+  // over-full sub-window or boundary queue.
   void snapshot_state(core::WindowImage& out);
   [[nodiscard]] bool restore_state(const core::WindowImage& image);
 
@@ -107,6 +125,7 @@ class HandshakeJoinEngine {
  private:
   using BatchPtr = std::shared_ptr<const stream::TupleBatch>;
 
+  // Both queues hold at most cfg_.input_queue_capacity tuples.
   struct Boundary {
     std::mutex mu;
     std::deque<stream::Tuple> r_q;  // evicted from core b, visible, → b+1
@@ -123,6 +142,12 @@ class HandshakeJoinEngine {
     IndexedSoaWindow win_s;
     SpscQueue<stream::Tuple> input;  // driver feed (used at chain ends)
     SpscQueue<BatchPtr> batch_input;  // batched driver feed (chain ends)
+    // Core-thread-owned fresh input refused by backpressure: a batch
+    // entered up to `cursor`, or one tuple taken off `input`.
+    BatchPtr parked;
+    std::size_t cursor = 0;
+    stream::Tuple held;
+    bool holding = false;
     std::vector<stream::ResultTuple> local_results;
     // Core-thread-owned tallies, read at quiescence (published by the
     // pending_ release/acquire pair).
@@ -132,11 +157,14 @@ class HandshakeJoinEngine {
   };
 
   void core_loop(std::uint32_t i);
-  // Scans `t` against core i's opposite residents (own sub-window plus the
-  // boundary eviction queue `extra`, which must be guarded by a lock the
-  // caller already holds when non-null), then stores and evicts.
-  void enter(std::uint32_t i, const stream::Tuple& t,
-             const std::deque<stream::Tuple>* extra);
+  // Admits `t` to core i if its eviction has somewhere to go (see the
+  // header comment), scans it against core i's opposite residents (own
+  // sub-window plus the boundary eviction queue `extra`, which must be
+  // guarded by a lock the caller already holds when non-null), then stores
+  // and evicts. Returns false, having changed nothing, when backpressure
+  // refuses `t`.
+  [[nodiscard]] bool enter(std::uint32_t i, const stream::Tuple& t,
+                           const std::deque<stream::Tuple>* extra);
 
   HandshakeJoinConfig cfg_;
   stream::JoinSpec spec_;

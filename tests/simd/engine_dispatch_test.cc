@@ -205,11 +205,8 @@ TEST(EngineDispatchHandshake, MultiCoreIndexedHoldsWindowTolerance) {
   ASSERT_EQ(unique.size(), keys.size()) << "duplicate pairs";
 
   const std::size_t sub = cfg.window_size / cfg.num_cores;
-  std::size_t slack = 2 * sub + 4 * cfg.num_cores +
-                      2 * cfg.input_queue_capacity + 16;
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  slack += cfg.window_size;  // see handshake_join_test.cc
-#endif
+  const std::size_t slack = 2 * sub + 4 * cfg.num_cores +
+                            2 * cfg.input_queue_capacity + 16;
 
   ReferenceJoin wide(cfg.window_size + slack, spec);
   const auto wide_keys = normalize(wide.process_all(tuples));

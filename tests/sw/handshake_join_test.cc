@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "common/assert.h"
+#include "core/window_image.h"
 #include "stream/generator.h"
 #include "stream/reference_join.h"
 #include "sw/handshake_join.h"
@@ -63,14 +65,8 @@ TEST_P(SwHandshakeInvariantTest, ExactlyOnceWithinWindowTolerance) {
   ASSERT_EQ(unique.size(), keys.size()) << "duplicate pairs";
 
   const std::size_t sub = p.window / p.cores;
-  std::size_t slack =
+  const std::size_t slack =
       2 * sub + 4 * p.cores + 2 * cfg.input_queue_capacity + 16;
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  // The boundary eviction queues are unbounded, and their occupants stay
-  // visible to crossing scans; a core thread descheduled by the
-  // sanitizer's scheduler lets them pile up past the structural slack.
-  slack += p.window;
-#endif
 
   ReferenceJoin wide(p.window + slack, spec);
   const auto wide_keys = normalize(wide.process_all(tuples));
@@ -128,6 +124,56 @@ TEST(SwHandshakeEngine, ReportsTupleAndResultCounts) {
   EXPECT_EQ(report.tuples_processed, 100u);
   EXPECT_EQ(report.results_emitted, engine.results().size());
   EXPECT_GT(report.results_emitted, 0u);
+}
+
+TEST(SwHandshakeEngine, RejectsZeroQueueCapacity) {
+  HandshakeJoinConfig cfg;
+  cfg.num_cores = 2;
+  cfg.window_size = 32;
+  cfg.input_queue_capacity = 0;
+  EXPECT_THROW(HandshakeJoinEngine(cfg, JoinSpec::equi_on_key()),
+               PreconditionError);
+}
+
+// Boundary queues are bounded by input_queue_capacity while the chain
+// runs, so an image holding a longer queue cannot come from this chain.
+TEST(SwHandshakeEngine, RestoreRejectsOverfullBoundaryQueue) {
+  HandshakeJoinConfig cfg;
+  cfg.num_cores = 2;
+  cfg.window_size = 32;
+  HandshakeJoinEngine engine(cfg, JoinSpec::equi_on_key());
+  engine.process(make_workload(100, 4, 3));
+  core::WindowImage image;
+  engine.snapshot_state(image);
+  ASSERT_EQ(image.boundaries.size(), 1u);
+
+  const std::vector<Tuple> queue(cfg.input_queue_capacity + 1,
+                                 Tuple{.key = 1, .seq = 1000, .origin = StreamId::R});
+  core::WindowImage long_r = image;
+  long_r.boundaries[0].r_q = queue;
+  EXPECT_FALSE(engine.restore_state(long_r));
+  core::WindowImage long_s = image;
+  long_s.boundaries[0].s_q = queue;
+  EXPECT_FALSE(engine.restore_state(long_s));
+}
+
+// Restored boundary occupants are in flight: the chain drains them into
+// the next core and quiesces again (snapshot_state waits for that).
+TEST(SwHandshakeEngine, RestoredBoundaryOccupantsDrain) {
+  HandshakeJoinConfig cfg;
+  cfg.num_cores = 2;
+  cfg.window_size = 32;
+  HandshakeJoinEngine engine(cfg, JoinSpec::equi_on_key());
+  core::WindowImage image;
+  engine.snapshot_state(image);
+  image.boundaries[0].r_q = {Tuple{.key = 7, .origin = StreamId::R}};
+  ASSERT_TRUE(engine.restore_state(image));
+
+  core::WindowImage drained;
+  engine.snapshot_state(drained);
+  EXPECT_TRUE(drained.boundaries[0].r_q.empty());
+  ASSERT_EQ(drained.cores[1].win_r.size(), 1u);
+  EXPECT_EQ(drained.cores[1].win_r[0].key, 7u);
 }
 
 }  // namespace
