@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,6 +170,16 @@ struct FaultCase {
   // aggregate recovery evidence is deterministic.
   bool exclusive = true;
 };
+
+// Without a printer gtest names each case after a byte dump of its
+// parameter, and the dump of `name` is a pointer that moves with address
+// space randomization: the registered ctest names changed with every build.
+void PrintTo(const FaultCase& c, std::ostream* os) {
+  const FaultPlan& p = c.plan;
+  *os << "{drop_every=" << p.drop_every << ", corrupt_every=" << p.corrupt_every
+      << ", partition_after_frames=" << p.partition_after_frames
+      << ", partition_seconds=" << p.partition_seconds << "}";
+}
 
 class SocketFaultTest : public ::testing::TestWithParam<FaultCase> {};
 

@@ -13,6 +13,9 @@
 // where the engine degenerates to the eager oracle.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -91,6 +94,17 @@ std::string name(const testing::TestParamInfo<Params>& info) {
   }
   return backend + "_b" + std::to_string(info.param.batch) +
          (info.param.dist == KeyDistribution::kZipf ? "_zipf" : "_uni");
+}
+
+// gtest names each case after a byte dump of its parameter. The padding
+// after `backend` and `dist` is indeterminate, so the registered ctest
+// names changed from build to build; dump the fields over zeroed padding.
+void PrintTo(const Params& p, std::ostream* os) {
+  unsigned char bytes[sizeof(Params)] = {};
+  std::memcpy(bytes + offsetof(Params, backend), &p.backend, sizeof p.backend);
+  std::memcpy(bytes + offsetof(Params, batch), &p.batch, sizeof p.batch);
+  std::memcpy(bytes + offsetof(Params, dist), &p.dist, sizeof p.dist);
+  testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
 }
 
 class BatchedPathTest : public testing::TestWithParam<Params> {};
