@@ -6,6 +6,7 @@
 #include <chrono>
 #include <limits>
 #include <span>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/backoff.h"
@@ -36,8 +37,8 @@ std::size_t worker_window_size(const ClusterConfig& cfg) {
       return w / cfg.shards;
     }
     // Exact-global: in the worst case every windowed tuple of a stream
-    // hashes to one shard, so each worker must hold the full W; the
-    // merger's window filter discards the stale surplus.
+    // hashes to one shard, so each worker must hold the full W; workers
+    // drop the stale surplus by the ingress horizon stamps.
     return w;
   }
   HAL_CHECK(w % cfg.grid_rows == 0 && w % cfg.grid_cols == 0,
@@ -45,14 +46,41 @@ std::size_t worker_window_size(const ClusterConfig& cfg) {
   // Round-robin row/column slicing gives worker (i, j) every grid_rows-th
   // R tuple and every grid_cols-th S tuple; a shared engine window of the
   // larger slice never misses a global-window partner (the smaller side's
-  // surplus is filtered by the merger; square grids are exact as-is).
+  // surplus is dropped by the workers; square grids are exact as-is).
   return std::max(w / cfg.grid_rows, w / cfg.grid_cols);
 }
 
 namespace {
 
-[[nodiscard]] std::uint64_t probe_seq(const ResultTuple& t) noexcept {
-  return t.r.seq > t.s.seq ? t.r.seq : t.s.seq;
+// Appends the k-way merge of `runs`, each already in emission order, to
+// `out` (a min-heap of run cursors: O(n log k)).
+void merge_runs(std::span<std::vector<ResultTuple>* const> runs,
+                std::vector<ResultTuple>& out) {
+  struct Cursor {
+    const ResultTuple* at;
+    const ResultTuple* end;
+  };
+  std::vector<Cursor> heap;
+  std::size_t total = 0;
+  for (const std::vector<ResultTuple>* run : runs) {
+    total += run->size();
+    if (!run->empty()) heap.push_back({run->data(), run->data() + run->size()});
+  }
+  out.reserve(out.size() + total);
+  const auto later = [](const Cursor& a, const Cursor& b) {
+    return emission_before(*b.at, *a.at);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& c = heap.back();
+    out.push_back(*c.at++);
+    if (c.at == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
 }
 
 }  // namespace
@@ -64,6 +92,7 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
               cfg.partitioning == Partitioning::kKeyHash ? cfg.shards
                                                          : cfg.grid_cols),
       placement_(cfg.placement, CpuTopology::discover()),
+      stamper_(cfg.window_size),
       guard_(cfg.guard) {
   HAL_CHECK(cfg_.replicas >= 1, "need at least one replica per shard slot");
   HAL_CHECK(cfg_.transport.batch_size >= 1, "batch_size must be positive");
@@ -86,6 +115,7 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
 
   const std::uint32_t slots = router_.num_slots();
   slot_staging_.resize(slots);
+  slot_horizons_.resize(slots);
   slot_epoch_tuples_.assign(slots, 0);
   active_replica_.assign(slots, 0);
   slot_retired_.assign(slots, 0);
@@ -345,6 +375,13 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
       return fail_stop(w, batch.epoch);
     }
     auto fresh = w.engine->take_results();
+    // Exact-global windows: stale pairs die here, before the wire. Sorting
+    // each batch's survivors makes the worker's epoch one run in emission
+    // order (later batches hold later probes), which process() merges.
+    if (!batch.horizons.empty()) {
+      w.staged_stale += drop_stale_pairs(batch.tuples, batch.horizons, fresh);
+    }
+    std::sort(fresh.begin(), fresh.end(), emission_before);
     w.busy_seconds.store(
         w.busy_seconds.load(std::memory_order_relaxed) +
             busy.elapsed_seconds(),
@@ -357,6 +394,7 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
       ResultBatch out;
       out.epoch = batch.epoch;
       out.results = std::move(w.staged);
+      out.stale_pairs = std::exchange(w.staged_stale, 0);
       w.staged.clear();
       const auto n = static_cast<std::uint64_t>(out.results.size());
       if (!w.outbox.send(std::move(out), now_us(), n)) {
@@ -377,6 +415,7 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
     out.epoch = batch.epoch;
     out.end_of_epoch = true;
     out.results = std::move(w.staged);
+    out.stale_pairs = std::exchange(w.staged_stale, 0);
     w.staged.clear();
     const auto n = static_cast<std::uint64_t>(out.results.size());
     if (!w.outbox.send(std::move(out), now_us(), n)) {
@@ -557,7 +596,9 @@ void ClusterEngine::recover(Worker& w) {
   } else {
     w.replay = std::move(delta);
     w.replay_floor = floor;
-    w.staged.clear();  // the dead incarnation's partial epoch is discarded
+    // The dead incarnation's partial epoch is discarded.
+    w.staged.clear();
+    w.staged_stale = 0;
     w.dropped.store(false, std::memory_order_release);
   }
   w.dead.store(false, std::memory_order_relaxed);
@@ -586,14 +627,17 @@ void ClusterEngine::merger_loop() {
               // the replica's complete epoch (or accounted loss) replaces
               // it.
               m.pending.clear();
+              m.pending_stale = 0;
               m.died.store(true, std::memory_order_release);
               continue;
             }
             m.pending.insert(m.pending.end(), batch.results.begin(),
                              batch.results.end());
+            m.pending_stale += batch.stale_pairs;
             if (batch.end_of_epoch) {
               m.completed = std::move(m.pending);
               m.pending.clear();
+              m.completed_stale = std::exchange(m.pending_stale, 0);
               m.last_deliver_at_us = batch.deliver_at_us;
               m.completed_epoch.store(batch.epoch, std::memory_order_release);
             }
@@ -604,6 +648,7 @@ void ClusterEngine::merger_loop() {
           // the same containment as a worker obituary.
           MergeSlot& m = *merge_[w->index];
           m.pending.clear();
+          m.pending_stale = 0;
           m.died.store(true, std::memory_order_release);
         }
       }
@@ -626,6 +671,7 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
     batch.epoch = epoch_;
     batch.end_of_epoch = end_of_epoch;
     batch.tuples = staging;  // replicas each get their own copy
+    batch.horizons = slot_horizons_[slot];
     const auto n = static_cast<std::uint64_t>(batch.tuples.size());
     if (w.inbox.breaker_open() || !w.inbox.send(std::move(batch), now_us(), n)) {
       // The worker's ingress wire is gone (budget exhausted / breaker
@@ -635,10 +681,10 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
     }
   }
   staging.clear();
+  slot_horizons_[slot].clear();
 }
 
-void ClusterEngine::collect_slot(std::uint32_t slot,
-                                 std::vector<ResultTuple>& out) {
+std::vector<ResultTuple>* ClusterEngine::collect_slot(std::uint32_t slot) {
   const std::uint32_t base = slot * cfg_.replicas;
   SpinBackoff backoff;
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
@@ -672,7 +718,7 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
     // Every replica of this slot is dead: clean degradation.
     degraded_ = true;
     lost_tuples_ += slot_epoch_tuples_[slot];
-    return;
+    return nullptr;
   }
   if (static_cast<std::uint32_t>(chosen) != active_replica_[slot]) {
     ++failovers_;
@@ -680,10 +726,13 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
   }
   MergeSlot& m = *merge_[base + static_cast<std::uint32_t>(chosen)];
   wait_until(m.last_deliver_at_us);  // modeled egress latency
-  out.insert(out.end(), m.completed.begin(), m.completed.end());
+  filtered_results_ += m.completed_stale;
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
-    merge_[base + rep]->completed.clear();
+    if (rep != static_cast<std::uint32_t>(chosen)) {
+      merge_[base + rep]->completed.clear();
+    }
   }
+  return &m.completed;
 }
 
 core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
@@ -701,10 +750,10 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   }
   Timer wall;
 
-  // Guarded ingress (hal::guard): shed BEFORE the exact-global tracker
-  // and the router, so a shed tuple reaches no window anywhere in the
-  // cluster and the output is exactly the reference join of
-  // (input − shed log). Disabled guards cost one branch per epoch.
+  // Guarded ingress (hal::guard): shed BEFORE the horizon stamper and the
+  // router, so a shed tuple reaches no window anywhere in the cluster and
+  // the output is exactly the reference join of (input − shed log).
+  // Disabled guards cost one branch per epoch.
   const std::vector<Tuple>* input = &tuples;
   if constexpr (guard::kEnabled) {
     if (cfg_.guard.enabled) {
@@ -716,19 +765,30 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
     }
   }
 
-  // Batched ingress: the whole epoch routes as one span (one virtual-free
-  // pass, no per-tuple scratch vector) and the tracker map is pre-sized,
-  // so the router amortizes its per-tuple dispatch the way the engines do.
-  if (cfg_.window_mode == WindowMode::kExactGlobal) {
-    tracker_.reserve(input->size());
-    for (const Tuple& t : *input) tracker_.observe(t);
+  // Exact-global windows: stamp every admitted tuple once, in arrival
+  // order, before routing replicates it.
+  const bool stamped = cfg_.window_mode == WindowMode::kExactGlobal;
+  if (stamped) {
+    epoch_horizons_.resize(input->size());
+    for (std::size_t i = 0; i < input->size(); ++i) {
+      epoch_horizons_[i] = stamper_.stamp((*input)[i]);
+    }
   }
+  // Batched ingress: the whole epoch routes as one span (one virtual-free
+  // pass, no per-tuple scratch vector), so the router amortizes its
+  // per-tuple dispatch the way the engines do. route_span emits references
+  // into the span, so a tuple's index locates its horizon.
+  const Tuple* first = input->data();
   router_.route_span(
       std::span<const Tuple>(*input), [&](const Tuple& t, std::uint32_t slot) {
         ++routed_tuples_;
         ++slot_epoch_tuples_[slot];
         auto& staging = slot_staging_[slot];
         staging.push_back(t);
+        if (stamped) {
+          slot_horizons_[slot].push_back(
+              epoch_horizons_[static_cast<std::size_t>(&t - first)]);
+        }
         if (staging.size() >= cfg_.transport.batch_size) {
           flush_slot(slot, false);
         }
@@ -737,31 +797,24 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
     if (!slot_retired_[slot]) flush_slot(slot, true);
   }
 
-  std::vector<ResultTuple> epoch_results;
+  // Each chosen replica's epoch is one run in emission order; merging the
+  // runs yields the deterministic order (by probing-tuple arrival, then
+  // stored-tuple arrival — the gathering-network contract).
+  runs_.clear();
   for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
-    if (!slot_retired_[slot]) collect_slot(slot, epoch_results);
+    if (slot_retired_[slot]) continue;
+    if (std::vector<ResultTuple>* run = collect_slot(slot)) {
+      runs_.push_back(run);
+    }
   }
-
-  if (cfg_.window_mode == WindowMode::kExactGlobal) {
-    const auto before = epoch_results.size();
-    std::erase_if(epoch_results, [this](const ResultTuple& rt) {
-      return !tracker_.pair_in_window(rt, cfg_.window_size);
-    });
-    filtered_results_ += before - epoch_results.size();
-  }
-  // Deterministic, order-preserving emission: by probing-tuple arrival,
-  // then by stored-tuple arrival — the gathering-network contract.
-  std::sort(epoch_results.begin(), epoch_results.end(),
-            [](const ResultTuple& a, const ResultTuple& b) {
-              const auto pa = probe_seq(a), pb = probe_seq(b);
-              if (pa != pb) return pa < pb;
-              if (a.r.seq != b.r.seq) return a.r.seq < b.r.seq;
-              return a.s.seq < b.s.seq;
-            });
+  const std::size_t before = collected_.size();
+  merge_runs(runs_, collected_);
+  for (std::vector<ResultTuple>* run : runs_) run->clear();
+  const std::size_t emitted = collected_.size() - before;
 
   core::RunReport report;
   report.tuples_processed = input->size();
-  report.results_emitted = epoch_results.size();
+  report.results_emitted = emitted;
   report.elapsed_seconds = wall.elapsed_seconds();
   if constexpr (guard::kEnabled) {
     if (cfg_.guard.enabled) {
@@ -771,11 +824,8 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   }
 
   input_tuples_ += tuples.size();
-  merged_results_ += epoch_results.size();
+  merged_results_ += emitted;
   elapsed_seconds_ += report.elapsed_seconds;
-  collected_.insert(collected_.end(),
-                    std::make_move_iterator(epoch_results.begin()),
-                    std::make_move_iterator(epoch_results.end()));
   return report;
 }
 
@@ -785,7 +835,12 @@ void ClusterEngine::prefill(const std::vector<Tuple>& tuples) {
   // inbox traffic publishes the writes to the worker threads.
   std::vector<std::vector<Tuple>> per_slot(slot_count());
   for (const Tuple& t : tuples) {
-    if (cfg_.window_mode == WindowMode::kExactGlobal) tracker_.observe(t);
+    // Prefilled tuples are window history: they advance the stamper like
+    // any admitted arrival, and need no horizon of their own (a prefill
+    // probes nothing).
+    if (cfg_.window_mode == WindowMode::kExactGlobal) {
+      (void)stamper_.stamp(t);
+    }
     router_.route(t, scratch_slots_);
     for (const std::uint32_t slot : scratch_slots_) {
       per_slot[slot].push_back(t);
@@ -823,6 +878,7 @@ std::uint32_t ClusterEngine::add_slot() {
             "elastic topology changes require key-hash partitioning");
   const std::uint32_t slot = slot_count();
   slot_staging_.emplace_back();
+  slot_horizons_.emplace_back();
   slot_epoch_tuples_.push_back(0);
   active_replica_.push_back(0);
   slot_retired_.push_back(0);
@@ -959,6 +1015,7 @@ void ClusterEngine::rebuild_slot(std::uint32_t slot,
     w.engine = core::make_engine(w.engine_cfg);
     if (!window.empty()) w.engine->prefill(window);
     w.staged.clear();
+    w.staged_stale = 0;
     w.epoch_batches = 0;
     // The rebuilt window is the slot's complete state: a replica that was
     // dead (unsupervised) or unrecoverable is healthy again from here on.
@@ -1161,7 +1218,7 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
         prefix + "worker." + std::to_string(wr.index) + ".";
     // A worker's raw emissions are only reproducible when its inner
     // engine's are; the threaded handshake chain races (the exact-global
-    // merge filter restores determinism cluster-wide, not per worker).
+    // stale-pair drop restores determinism cluster-wide, not per worker).
     const obs::Stability emit_stability =
         wr.backend == core::Backend::kSwHandshake
             ? obs::Stability::kRuntime

@@ -13,14 +13,17 @@
 //              modeled per-link bandwidth/latency (cluster/transport.h),
 //              so dist::PathModel predictions are testable against runs.
 //   workers  — one thread per worker; pops ingress batches, drives its
-//              inner engine, pushes result batches. Replication factor
+//              inner engine, and (with WindowMode::kExactGlobal) drops
+//              every stale pair by the ingress horizon stamps the batch
+//              carries, so the cluster's output multiset is
+//              byte-identical to the single-node reference oracle. Each
+//              batch's survivors are sorted into emission order before
+//              they are pushed as result batches. Replication factor
 //              ≥ 2 runs hot replicas per shard slot for failover.
 //   merger   — the cluster-level gathering node: drains every worker's
-//              egress link, reassembles per-epoch result sets, and (with
-//              WindowMode::kExactGlobal) filters stale pairs so the
-//              cluster's output multiset is byte-identical to the
-//              single-node reference oracle. Results are emitted in a
-//              deterministic order (by probing-tuple arrival).
+//              egress link and reassembles per-epoch result runs; the
+//              epoch barrier k-way merges the chosen replicas' runs into
+//              a deterministic order (by probing-tuple arrival).
 //
 // Robustness: bounded queues give backpressure (stalls are counted, never
 // dropped); fault injection can fail-stop a worker or delay a link. A
@@ -165,8 +168,8 @@ struct ClusterConfig {
   PlacementConfig placement;
   // SLO-bounded admission at the cluster ingress (hal::guard): tuples are
   // shed — with exact accounting — before routing and before the
-  // exact-global tracker, so the guarded output equals the reference
-  // join of (input − shed log). Off by default; with guard.enabled false
+  // exact-global horizon stamper, so the guarded output equals the
+  // reference join of (input − shed log). Off by default; with guard.enabled false
   // the hot path pays one branch per epoch.
   guard::GuardConfig guard;
 };
@@ -187,7 +190,9 @@ struct WorkerReport {
   std::uint64_t results_out = 0;
   std::uint64_t data_batches_in = 0;
   std::uint64_t result_batches_out = 0;
-  double busy_seconds = 0.0;  // time inside the inner engine
+  // Time spent on data batches: the inner engine plus the stale-pair
+  // drop and the sort of its results.
+  double busy_seconds = 0.0;
   bool pinned = false;        // thread affinity applied successfully
   int pin_cpu = -1;           // assigned CPU (-1 = unpinned)
   bool dropped = false;
@@ -207,7 +212,8 @@ struct ClusterReport {
   std::uint64_t input_tuples = 0;   // tuples offered to process()
   std::uint64_t routed_tuples = 0;  // tuple-sends incl. grid replication
   std::uint64_t merged_results = 0;
-  // Stale pairs removed by the exact-global window filter.
+  // Stale pairs the workers' engines computed and the workers dropped
+  // (exact-global windows), summed over the epochs that were merged.
   std::uint64_t filtered_results = 0;
   std::uint64_t failovers = 0;
   std::uint64_t lost_tuples = 0;  // routed to a dead, replica-less slot
@@ -377,6 +383,7 @@ class ClusterEngine final : public core::StreamJoinEngine {
     std::atomic<std::uint64_t> data_batches_in{0};
     std::atomic<double> busy_seconds{0.0};
     std::vector<stream::ResultTuple> staged;  // results awaiting egress
+    std::uint64_t staged_stale = 0;  // stale pairs dropped, not yet sent
     std::atomic<bool> dropped{false};
 
     // This worker's merge slot (heap-stable; set before the thread
@@ -450,7 +457,9 @@ class ClusterEngine final : public core::StreamJoinEngine {
   // release store and not touched again until the next epoch's traffic.
   struct MergeSlot {
     std::vector<stream::ResultTuple> pending;
-    std::vector<stream::ResultTuple> completed;
+    std::vector<stream::ResultTuple> completed;  // one run, emission order
+    std::uint64_t pending_stale = 0;    // stale-pair counts of the above
+    std::uint64_t completed_stale = 0;
     double last_deliver_at_us = 0.0;
     std::atomic<std::uint64_t> completed_epoch{0};
     std::atomic<bool> died{false};
@@ -475,8 +484,11 @@ class ClusterEngine final : public core::StreamJoinEngine {
   void recover(Worker& w);
   void merger_loop();
   void flush_slot(std::uint32_t slot, bool end_of_epoch);
-  void collect_slot(std::uint32_t slot,
-                    std::vector<stream::ResultTuple>& out);
+  // Waits for the slot's epoch and returns the chosen replica's result
+  // run (the caller clears it after merging), or null when every replica
+  // is dead.
+  [[nodiscard]] std::vector<stream::ResultTuple>* collect_slot(
+      std::uint32_t slot);
   void wait_until(double deadline_us) const;
   [[nodiscard]] double now_us() const { return timer_.elapsed_us(); }
 
@@ -496,7 +508,7 @@ class ClusterEngine final : public core::StreamJoinEngine {
   ClusterConfig cfg_;
   Router router_;
   PlacementPolicy placement_;
-  WindowTracker tracker_;  // used iff window_mode == kExactGlobal
+  HorizonStamper stamper_;  // used iff window_mode == kExactGlobal
   Timer timer_;            // cluster clock: µs since construction
   guard::AdmissionGuard guard_;          // cluster-ingress admission
   std::vector<stream::Tuple> admitted_;  // guard scratch, reused per epoch
@@ -525,10 +537,13 @@ class ClusterEngine final : public core::StreamJoinEngine {
   // too (grow-only, like workers_).
   std::uint64_t epoch_ = 0;
   std::vector<std::vector<stream::Tuple>> slot_staging_;
+  std::vector<std::vector<std::uint64_t>> slot_horizons_;  // parallel
+  std::vector<std::uint64_t> epoch_horizons_;  // per admitted tuple
   std::vector<std::uint64_t> slot_epoch_tuples_;
   std::vector<std::uint32_t> active_replica_;
   std::vector<std::uint8_t> slot_retired_;
   std::vector<std::uint32_t> scratch_slots_;
+  std::vector<std::vector<stream::ResultTuple>*> runs_;  // merge scratch
   std::vector<stream::ResultTuple> collected_;
 
   // Accumulated report counters (main thread).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "cluster/cluster_engine.h"
 #include "common/assert.h"
@@ -12,14 +13,6 @@ namespace hal::cluster {
 using stream::ResultTuple;
 using stream::StreamId;
 using stream::Tuple;
-
-namespace {
-
-[[nodiscard]] std::uint64_t probe_seq(const ResultTuple& t) noexcept {
-  return t.r.seq > t.s.seq ? t.r.seq : t.s.seq;
-}
-
-}  // namespace
 
 RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
   std::unique_ptr<net::Transport> owned;
@@ -40,6 +33,7 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
   auto engine = core::make_engine(opts.engine);
   RemoteWorkerReport rep;
   std::vector<ResultTuple> staged;
+  std::uint64_t staged_stale = 0;
   std::uint64_t epoch_r = 0;
   std::uint64_t epoch_s = 0;
   std::uint64_t current_epoch = 0;
@@ -49,6 +43,7 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
     out.epoch = current_epoch;
     out.end_of_epoch = end_of_epoch;
     out.results = std::move(staged);
+    out.stale_pairs = std::exchange(staged_stale, 0);
     staged.clear();
     HAL_CHECK(conn->send_msg(net::MsgType::kResultBatch, out, 60.0),
               "remote worker: result send failed");
@@ -77,7 +72,10 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
         }
         const core::RunReport inner = engine->process(msg.tuples);
         rep.results_out += inner.results_emitted;
-        const auto fresh = engine->take_results();
+        auto fresh = engine->take_results();
+        if (!msg.horizons.empty()) {
+          staged_stale += drop_stale_pairs(msg.tuples, msg.horizons, fresh);
+        }
         staged.insert(staged.end(), fresh.begin(), fresh.end());
         if (staged.size() >= opts.batch_size) send_results(false);
         break;
@@ -123,7 +121,8 @@ RemoteCoordinator::RemoteCoordinator(const RemoteClusterConfig& cfg)
       router_(cfg.partitioning,
               cfg.partitioning == Partitioning::kKeyHash ? 1 : cfg.grid_rows,
               cfg.partitioning == Partitioning::kKeyHash ? cfg.shards
-                                                         : cfg.grid_cols) {
+                                                         : cfg.grid_cols),
+      stamper_(cfg.window_size) {
   HAL_CHECK(cfg_.batch_size >= 1, "batch_size must be positive");
   const std::uint32_t slots = router_.num_slots();
   HAL_CHECK(cfg_.worker_addresses.size() == slots,
@@ -138,9 +137,11 @@ RemoteCoordinator::RemoteCoordinator(const RemoteClusterConfig& cfg)
     transport_ = owned_transport_.get();
   }
   staging_.resize(slots);
+  staging_horizons_.resize(slots);
   slot_r_count_.assign(slots, 0);
   slot_s_count_.assign(slots, 0);
   pending_.resize(slots);
+  pending_stale_.assign(slots, 0);
   done_epoch_.assign(slots, 0);
   for (std::uint32_t slot = 0; slot < slots; ++slot) {
     net::EndpointOptions ep;
@@ -172,10 +173,12 @@ void RemoteCoordinator::drain_results() {
                 "coordinator: undecodable result batch");
       pending_[slot].insert(pending_[slot].end(), msg.results.begin(),
                             msg.results.end());
+      pending_stale_[slot] += msg.stale_pairs;
       if (msg.end_of_epoch) {
         epoch_results_.insert(epoch_results_.end(), pending_[slot].begin(),
                               pending_[slot].end());
         pending_[slot].clear();
+        filtered_results_ += std::exchange(pending_stale_[slot], 0);
         done_epoch_[slot] = msg.epoch;
       }
     }
@@ -198,13 +201,15 @@ void RemoteCoordinator::send_with_drain(
   }
 }
 
-void RemoteCoordinator::flush_slot(std::uint32_t slot,
-                                   std::vector<Tuple>& staging) {
+void RemoteCoordinator::flush_slot(std::uint32_t slot) {
+  std::vector<Tuple>& staging = staging_[slot];
   if (staging.empty()) return;
   net::TupleBatchMsg msg;
   msg.epoch = epoch_;
   msg.tuples = std::move(staging);
+  msg.horizons = std::move(staging_horizons_[slot]);
   staging.clear();
+  staging_horizons_[slot].clear();
   send_with_drain(slot, net::MsgType::kTupleBatch, net::encode(msg));
 }
 
@@ -215,8 +220,9 @@ core::RunReport RemoteCoordinator::process(const std::vector<Tuple>& tuples) {
   std::fill(slot_r_count_.begin(), slot_r_count_.end(), 0);
   std::fill(slot_s_count_.begin(), slot_s_count_.end(), 0);
 
+  const bool stamped = cfg_.window_mode == WindowMode::kExactGlobal;
   for (const Tuple& t : tuples) {
-    if (cfg_.window_mode == WindowMode::kExactGlobal) tracker_.observe(t);
+    const std::uint64_t horizon = stamped ? stamper_.stamp(t) : 0;
     router_.route(t, scratch_slots_);
     for (const std::uint32_t slot : scratch_slots_) {
       ++routed_tuples_;
@@ -226,13 +232,12 @@ core::RunReport RemoteCoordinator::process(const std::vector<Tuple>& tuples) {
         ++slot_s_count_[slot];
       }
       staging_[slot].push_back(t);
-      if (staging_[slot].size() >= cfg_.batch_size) {
-        flush_slot(slot, staging_[slot]);
-      }
+      if (stamped) staging_horizons_[slot].push_back(horizon);
+      if (staging_[slot].size() >= cfg_.batch_size) flush_slot(slot);
     }
   }
   for (std::uint32_t slot = 0; slot < router_.num_slots(); ++slot) {
-    flush_slot(slot, staging_[slot]);
+    flush_slot(slot);
     net::WatermarkMsg wm;
     wm.epoch = epoch_;
     wm.r_count = slot_r_count_[slot];
@@ -258,22 +263,9 @@ core::RunReport RemoteCoordinator::process(const std::vector<Tuple>& tuples) {
     std::this_thread::yield();
   }
 
-  if (cfg_.window_mode == WindowMode::kExactGlobal) {
-    const auto before = epoch_results_.size();
-    std::erase_if(epoch_results_, [this](const ResultTuple& rt) {
-      return !tracker_.pair_in_window(rt, cfg_.window_size);
-    });
-    filtered_results_ += before - epoch_results_.size();
-  }
   // Same deterministic emission order as the in-process cluster: by
   // probing-tuple arrival, then stored-tuple arrival.
-  std::sort(epoch_results_.begin(), epoch_results_.end(),
-            [](const ResultTuple& a, const ResultTuple& b) {
-              const auto pa = probe_seq(a), pb = probe_seq(b);
-              if (pa != pb) return pa < pb;
-              if (a.r.seq != b.r.seq) return a.r.seq < b.r.seq;
-              return a.s.seq < b.s.seq;
-            });
+  std::sort(epoch_results_.begin(), epoch_results_.end(), emission_before);
 
   core::RunReport rep;
   rep.tuples_processed = tuples.size();

@@ -6,19 +6,21 @@
 //   serve_worker()    — runs in each worker process: listens on a
 //                       transport address, accepts the coordinator's
 //                       connection, and serves tuple batches through an
-//                       unmodified single-node engine until shutdown.
-//                       Watermarks are the epoch barriers; their R/S
-//                       arrival counts let the worker audit that the
-//                       transport delivered every routed tuple exactly
-//                       once — under injected faults included.
-//   RemoteCoordinator — the router + exact-global merger side: partitions
+//                       unmodified single-node engine until shutdown,
+//                       dropping stale pairs by the batches' horizon
+//                       stamps before they reach the wire. Watermarks are
+//                       the epoch barriers; their R/S arrival counts let
+//                       the worker audit that the transport delivered
+//                       every routed tuple exactly once — under injected
+//                       faults included.
+//   RemoteCoordinator — the router + merger side: stamps and partitions
 //                       tuples across the worker connections (same Router
-//                       and WindowTracker as the in-process engine),
+//                       and HorizonStamper as the in-process engine),
 //                       drains result batches opportunistically while
 //                       sending (the credit windows on both directions
 //                       would otherwise deadlock), and emits the same
-//                       deterministically ordered, window-filtered result
-//                       multiset the in-process cluster produces.
+//                       deterministically ordered result multiset the
+//                       in-process cluster produces.
 //
 // The protocol per connection, all framed by net/wire.h:
 //
@@ -116,8 +118,8 @@ class RemoteCoordinator {
   RemoteCoordinator(const RemoteCoordinator&) = delete;
   RemoteCoordinator& operator=(const RemoteCoordinator&) = delete;
 
-  // One epoch: route, barrier on every worker's watermark answer, merge,
-  // window-filter, order deterministically.
+  // One epoch: stamp, route, barrier on every worker's watermark answer,
+  // merge, order deterministically.
   core::RunReport process(const std::vector<stream::Tuple>& tuples);
   std::vector<stream::ResultTuple> take_results();
 
@@ -130,24 +132,26 @@ class RemoteCoordinator {
   void shutdown();
 
  private:
-  void flush_slot(std::uint32_t slot, std::vector<stream::Tuple>& staging);
+  void flush_slot(std::uint32_t slot);
   void send_with_drain(std::uint32_t slot, net::MsgType type,
                        const std::vector<std::uint8_t>& payload);
   void drain_results();
 
   RemoteClusterConfig cfg_;
   Router router_;
-  WindowTracker tracker_;  // used iff window_mode == kExactGlobal
+  HorizonStamper stamper_;  // used iff window_mode == kExactGlobal
   std::unique_ptr<net::Transport> owned_transport_;
   net::Transport* transport_ = nullptr;
   std::vector<std::unique_ptr<net::Connection>> conns_;
 
   std::uint64_t epoch_ = 0;
   std::vector<std::vector<stream::Tuple>> staging_;
+  std::vector<std::vector<std::uint64_t>> staging_horizons_;  // parallel
   std::vector<std::uint32_t> scratch_slots_;
   std::vector<std::uint64_t> slot_r_count_;  // per-epoch watermark audit
   std::vector<std::uint64_t> slot_s_count_;
   std::vector<std::vector<stream::ResultTuple>> pending_;  // per slot
+  std::vector<std::uint64_t> pending_stale_;  // per slot, this epoch
   std::vector<std::uint64_t> done_epoch_;
   std::vector<stream::ResultTuple> epoch_results_;
   std::vector<stream::ResultTuple> collected_;

@@ -1,5 +1,7 @@
 #include "cluster/router.h"
 
+#include <algorithm>
+
 namespace hal::cluster {
 
 Router::Router(Partitioning partitioning, std::uint32_t rows,
@@ -43,6 +45,31 @@ void Router::route(const stream::Tuple& t,
       slots_out.push_back(row * cols_ + col);
     }
   }
+}
+
+HorizonStamper::HorizonStamper(std::size_t window) : window_(window) {
+  HAL_CHECK(window_ >= 1, "the global window must hold at least one tuple");
+}
+
+std::size_t drop_stale_pairs(std::span<const stream::Tuple> tuples,
+                             std::span<const std::uint64_t> horizons,
+                             std::vector<stream::ResultTuple>& results) {
+  HAL_CHECK(horizons.size() == tuples.size(),
+            "drop_stale_pairs needs one horizon per batch tuple");
+  const std::size_t before = results.size();
+  std::erase_if(results, [&](const stream::ResultTuple& rt) {
+    const bool r_probes = rt.r.seq > rt.s.seq;
+    const std::uint64_t probe = r_probes ? rt.r.seq : rt.s.seq;
+    const std::uint64_t stored = r_probes ? rt.s.seq : rt.r.seq;
+    // The batch is in arrival order, so its seqs ascend.
+    const auto it = std::lower_bound(
+        tuples.begin(), tuples.end(), probe,
+        [](const stream::Tuple& t, std::uint64_t seq) { return t.seq < seq; });
+    HAL_CHECK(it != tuples.end() && it->seq == probe,
+              "a result's probe is not in the batch that produced it");
+    return stored < horizons[static_cast<std::size_t>(it - tuples.begin())];
+  });
+  return before - results.size();
 }
 
 }  // namespace hal::cluster

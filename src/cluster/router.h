@@ -29,14 +29,20 @@
 // by *local* arrival count. Whenever a worker's local window can outlive
 // the global W-tuple window (kKeyHash, or the long side of a non-square
 // grid), the engine is given a window large enough to never *miss* a
-// global-window partner, and the merger discards the stale extras using
-// the WindowTracker: the router records, for every arrival, how many R/S
-// tuples preceded it, which is sufficient to decide post-hoc whether the
-// stored tuple of a result pair was still inside the probing tuple's
-// global window. Subset guarantee + superset filter ⇒ byte-identical
-// result multisets to the single-node oracle.
+// global-window partner, and the worker itself drops the stale extras
+// before they reach the wire. The rule needs no lookup table: the
+// HorizonStamper at the ingress stamps every admitted tuple with its
+// *horizon*, the seq of the oldest opposite-stream tuple still inside the
+// global window when it arrived (0 while that stream has not yet filled
+// the window). Seqs rise with arrival, so a stored tuple q is in probe p's
+// window iff q.seq >= p.horizon — the reference oracle's probe-then-insert
+// rule, decided from the probe's own stamp. The stamper keeps the seqs of
+// the last W tuples of each stream (2·W in all), whatever the run length.
+// Subset guarantee + superset filter ⇒ byte-identical result multisets to
+// the single-node oracle.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -211,59 +217,75 @@ class Router {
   std::vector<std::uint32_t> hash_out_ = std::vector<std::uint32_t>(kHashChunk);
 };
 
-// Arrival-order accounting for the merger's exact-global window filter.
-class WindowTracker {
+// Ingress horizon stamps for exact-global windows (see the header
+// comment). Single-threaded, like the router.
+class HorizonStamper {
  public:
-  // Pre-sizes the arrival map for `n` further observations, so a batched
-  // ingress loop does not rehash mid-span.
-  void reserve(std::size_t n) { counts_.reserve(counts_.size() + n); }
+  explicit HorizonStamper(std::size_t window);
 
-  // Records one arrival. Tuples must be observed in arrival order; seq
-  // values must be unique across the run (the generators guarantee this).
-  void observe(const stream::Tuple& t) {
-    counts_.emplace(t.seq, Counts{seen_r_, seen_s_});
-    if (t.origin == stream::StreamId::R) {
-      ++seen_r_;
-    } else {
-      ++seen_s_;
-    }
+  // Records one admitted arrival and returns its horizon. Tuples must be
+  // stamped in arrival order, seqs strictly ascending across the run; seqs
+  // may have gaps (tuples shed before the stamper never advance it).
+  [[nodiscard]] std::uint64_t stamp(const stream::Tuple& t) {
+    HAL_CHECK(t.seq >= next_seq_,
+              "exact-global windows need seqs that ascend across the run");
+    next_seq_ = t.seq + 1;
+    const bool is_r = t.origin == stream::StreamId::R;
+    const std::uint64_t horizon = (is_r ? s_ : r_).oldest(window_);
+    (is_r ? r_ : s_).push(t.seq, window_);
+    return horizon;
   }
 
-  // True iff the earlier tuple of the pair was still inside the later
-  // (probing) tuple's opposite-stream window of `window` tuples when the
-  // probe arrived — the reference oracle's probe-then-insert semantics.
-  [[nodiscard]] bool pair_in_window(const stream::ResultTuple& result,
-                                    std::size_t window) const {
-    const bool r_probes = result.r.seq > result.s.seq;
-    const stream::Tuple& probe = r_probes ? result.r : result.s;
-    const stream::Tuple& stored = r_probes ? result.s : result.r;
-    const auto probe_it = counts_.find(probe.seq);
-    const auto stored_it = counts_.find(stored.seq);
-    HAL_ASSERT_MSG(probe_it != counts_.end() && stored_it != counts_.end(),
-                   "result references a tuple the router never saw");
-    const bool stored_is_r = stored.origin == stream::StreamId::R;
-    const std::uint64_t before_probe =
-        stored_is_r ? probe_it->second.r : probe_it->second.s;
-    const std::uint64_t before_stored =
-        stored_is_r ? stored_it->second.r : stored_it->second.s;
-    // `stored` is the (before_stored + 1)-th tuple of its stream; it is
-    // still windowed at the probe iff at most `window` same-stream tuples
-    // (itself included) arrived up to the probe after its insertion point.
-    return before_probe - before_stored <= window;
-  }
-
-  [[nodiscard]] std::size_t observed() const noexcept {
-    return counts_.size();
+  // Seqs currently held, over both streams (at most 2·window).
+  [[nodiscard]] std::size_t held() const noexcept {
+    return r_.seqs.size() + s_.seqs.size();
   }
 
  private:
-  struct Counts {
-    std::uint64_t r;  // R tuples that arrived strictly before this one
-    std::uint64_t s;
+  // The seqs of a stream's last `window` arrivals: grows to `window`, then
+  // overwrites its oldest entry (at `head`) in place.
+  struct Ring {
+    std::vector<std::uint64_t> seqs;
+    std::size_t head = 0;
+
+    [[nodiscard]] std::uint64_t oldest(std::size_t window) const noexcept {
+      return seqs.size() < window ? 0 : seqs[head];
+    }
+    void push(std::uint64_t seq, std::size_t window) {
+      if (seqs.size() < window) {
+        seqs.push_back(seq);
+        return;
+      }
+      seqs[head] = seq;
+      head = head + 1 == window ? 0 : head + 1;
+    }
   };
-  std::unordered_map<std::uint64_t, Counts> counts_;
-  std::uint64_t seen_r_ = 0;
-  std::uint64_t seen_s_ = 0;
+
+  std::size_t window_;
+  std::uint64_t next_seq_ = 0;  // lowest seq the next arrival may carry
+  Ring r_;
+  Ring s_;
 };
+
+// The worker half of the exact-global rule: erases from `results` every
+// pair whose stored tuple had left its probe's global window, and returns
+// how many it erased. `tuples` is the arrival-order batch the results were
+// computed from and `horizons` its stamps; every result's probe (its
+// higher-seq tuple) must be in `tuples` — an engine's process() runs a
+// batch to completion, so it is.
+std::size_t drop_stale_pairs(std::span<const stream::Tuple> tuples,
+                             std::span<const std::uint64_t> horizons,
+                             std::vector<stream::ResultTuple>& results);
+
+// Deterministic emission order: by probing-tuple arrival, then r.seq, then
+// s.seq (the gathering-network contract). A total order on distinct pairs.
+[[nodiscard]] inline bool emission_before(const stream::ResultTuple& a,
+                                          const stream::ResultTuple& b) {
+  const std::uint64_t pa = std::max(a.r.seq, a.s.seq);
+  const std::uint64_t pb = std::max(b.r.seq, b.s.seq);
+  if (pa != pb) return pa < pb;
+  if (a.r.seq != b.r.seq) return a.r.seq < b.r.seq;
+  return a.s.seq < b.s.seq;
+}
 
 }  // namespace hal::cluster

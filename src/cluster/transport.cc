@@ -17,22 +17,24 @@ TransportParams TransportParams::from_pipeline(const dist::PipelineParams& p) {
   return t;
 }
 
-bool net_try_send(net::Connection& conn, const TupleBatch& b) {
+NetPayload net_encode(TupleBatch&& b) {
   net::TupleBatchMsg msg;
   msg.epoch = b.epoch;
   msg.link_seq = b.link_seq;
   msg.end_of_epoch = b.end_of_epoch;
-  msg.tuples = b.tuples;
-  return conn.try_send(net::MsgType::kTupleBatch, net::encode(msg));
+  msg.tuples = std::move(b.tuples);
+  msg.horizons = std::move(b.horizons);
+  return {net::MsgType::kTupleBatch, net::encode(msg)};
 }
 
-bool net_try_send(net::Connection& conn, const ResultBatch& b) {
+NetPayload net_encode(ResultBatch&& b) {
   net::ResultBatchMsg msg;
   msg.epoch = b.epoch;
   msg.end_of_epoch = b.end_of_epoch;
   msg.died = b.died;
-  msg.results = b.results;
-  return conn.try_send(net::MsgType::kResultBatch, net::encode(msg));
+  msg.results = std::move(b.results);
+  msg.stale_pairs = b.stale_pairs;
+  return {net::MsgType::kResultBatch, net::encode(msg)};
 }
 
 bool net_try_recv(net::Connection& conn, TupleBatch& out) {
@@ -50,6 +52,7 @@ bool net_try_recv(net::Connection& conn, TupleBatch& out) {
   out.end_of_epoch = msg.end_of_epoch;
   out.deliver_at_us = 0.0;
   out.tuples = std::move(msg.tuples);
+  out.horizons = std::move(msg.horizons);
   return true;
 }
 
@@ -66,6 +69,7 @@ bool net_try_recv(net::Connection& conn, ResultBatch& out) {
   out.died = msg.died;
   out.deliver_at_us = 0.0;
   out.results = std::move(msg.results);
+  out.stale_pairs = msg.stale_pairs;
   return true;
 }
 

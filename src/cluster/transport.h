@@ -113,6 +113,9 @@ struct TupleBatch {
   bool end_of_epoch = false;
   double deliver_at_us = 0.0;  // stamped by Link::send
   std::vector<stream::Tuple> tuples;
+  // Exact-global windows: each tuple's ingress horizon (router.h
+  // HorizonStamper), parallel to `tuples`. Empty otherwise.
+  std::vector<std::uint64_t> horizons;
 };
 
 struct ResultBatch {
@@ -122,6 +125,9 @@ struct ResultBatch {
   bool died = false;  // worker announced fail-stop (fault injection)
   double deliver_at_us = 0.0;
   std::vector<stream::ResultTuple> results;
+  // Stale pairs the worker's engine computed and the worker dropped for
+  // the input these results cover (exact-global windows only).
+  std::uint64_t stale_pairs = 0;
 };
 
 // Producer-side link statistics, materialized by Link::stats(). Written
@@ -141,10 +147,15 @@ struct LinkStats {
 };
 
 // Batch ↔ wire-message bridging for net-backed links (transport.cc).
-// try_send returns false on a refused send (credit window exhausted);
-// try_recv returns false when no data message is pending.
-[[nodiscard]] bool net_try_send(net::Connection& conn, const TupleBatch& b);
-[[nodiscard]] bool net_try_send(net::Connection& conn, const ResultBatch& b);
+// net_encode consumes the batch into one encoded payload, which a sender
+// retries unchanged while the credit window refuses it; net_try_recv
+// returns false when no data message is pending.
+struct NetPayload {
+  net::MsgType type = net::MsgType::kTupleBatch;
+  std::vector<std::uint8_t> bytes;
+};
+[[nodiscard]] NetPayload net_encode(TupleBatch&& b);
+[[nodiscard]] NetPayload net_encode(ResultBatch&& b);
 [[nodiscard]] bool net_try_recv(net::Connection& conn, TupleBatch& out);
 [[nodiscard]] bool net_try_recv(net::Connection& conn, ResultBatch& out);
 
@@ -200,9 +211,10 @@ class Link {
                                      std::memory_order_relaxed);
       // A refused send is the wire's ready/valid stall: the peer's credit
       // window is exhausted, exactly like a full FIFO.
+      const NetPayload wire = net_encode(std::move(msg));
       SpinBackoff backoff(SpinBackoff::hot_loop());
       BudgetClock budget(params_.send_budget_us);
-      while (!net_try_send(*net_tx_, msg)) {
+      while (!net_tx_->try_send(wire.type, wire.bytes)) {
         stats_.stall_spins.fetch_add(1, std::memory_order_relaxed);
         if (budget.exhausted()) return give_up();
         backoff.pause();

@@ -1,35 +1,49 @@
 #include "net/wire.h"
 
-#include <array>
+#include <bit>
 
 #include "common/assert.h"
+#include "simd/probe.h"
 
 namespace hal::net {
 
 namespace {
 
-// --- Little-endian primitives ---------------------------------------------
+// Every field is copied whole in host order, which is the wire order only
+// on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies fields in little-endian host order");
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
+// --- Fixed-width primitives --------------------------------------------------
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+// Sequential writer into a buffer sized up front from the message's exact
+// encoded length, so a batch encodes with one allocation and no per-byte
+// growth checks.
+class Writer {
+ public:
+  explicit Writer(std::size_t size) : out_(size) {}
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  template <typename T>
+  void put(T v) noexcept {
+    std::memcpy(out_.data() + pos_, &v, sizeof v);
+    pos_ += sizeof v;
   }
-}
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void put_bytes(const void* src, std::size_t n) noexcept {
+    if (n == 0) return;
+    std::memcpy(out_.data() + pos_, src, n);
+    pos_ += n;
   }
-}
+
+  [[nodiscard]] std::vector<std::uint8_t> finish() {
+    HAL_ASSERT(pos_ == out_.size());
+    return std::move(out_);
+  }
+
+ private:
+  std::vector<std::uint8_t> out_;
+  std::size_t pos_ = 0;
+};
 
 // Bounds-checked sequential reader: every accessor refuses to read past
 // the span's end, which is what makes decode() total on arbitrary bytes.
@@ -37,38 +51,19 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  [[nodiscard]] bool read_u8(std::uint8_t& v) {
-    if (pos_ + 1 > data_.size()) return false;
-    v = data_[pos_++];
+  template <typename T>
+  [[nodiscard]] bool read(T& v) noexcept {
+    if (remaining() < sizeof v) return false;
+    std::memcpy(&v, data_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
     return true;
   }
 
-  [[nodiscard]] bool read_u16(std::uint16_t& v) {
-    if (pos_ + 2 > data_.size()) return false;
-    v = static_cast<std::uint16_t>(data_[pos_]) |
-        static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return true;
-  }
-
-  [[nodiscard]] bool read_u32(std::uint32_t& v) {
-    if (pos_ + 4 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool read_u64(std::uint64_t& v) {
-    if (pos_ + 8 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
+  // Unchecked view of the next n bytes; the caller has checked remaining().
+  [[nodiscard]] const std::uint8_t* take(std::size_t n) noexcept {
+    const std::uint8_t* p = data_.data() + pos_;
+    pos_ += n;
+    return p;
   }
 
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
@@ -85,23 +80,23 @@ class Reader {
 
 // 17 bytes per tuple: key u32 | value u32 | seq u64 | origin u8. seq and
 // origin are simulator metadata (tuple.h), but the distributed runtime
-// ships them so the merger's window filter and ordering contract work
+// ships them so the window rule and the merger's ordering contract work
 // across the process boundary exactly as they do in-process.
 constexpr std::size_t kTupleWireSize = 17;
 
-void put_tuple(std::vector<std::uint8_t>& out, const stream::Tuple& t) {
-  put_u32(out, t.key);
-  put_u32(out, t.value);
-  put_u64(out, t.seq);
-  put_u8(out, t.origin == stream::StreamId::R ? 0 : 1);
+void put_tuple(Writer& w, const stream::Tuple& t) noexcept {
+  w.put(t.key);
+  w.put(t.value);
+  w.put(t.seq);
+  w.put(static_cast<std::uint8_t>(t.origin == stream::StreamId::R ? 0 : 1));
 }
 
-[[nodiscard]] bool read_tuple(Reader& r, stream::Tuple& t) {
-  std::uint8_t origin = 0;
-  if (!r.read_u32(t.key) || !r.read_u32(t.value) || !r.read_u64(t.seq) ||
-      !r.read_u8(origin)) {
-    return false;
-  }
+// Reads one tuple from 17 bytes the caller has bounds-checked.
+[[nodiscard]] bool read_tuple(const std::uint8_t* p, stream::Tuple& t) {
+  std::memcpy(&t.key, p, 4);
+  std::memcpy(&t.value, p + 4, 4);
+  std::memcpy(&t.seq, p + 8, 8);
+  const std::uint8_t origin = p[16];
   if (origin > 1) return false;
   t.origin = origin == 0 ? stream::StreamId::R : stream::StreamId::S;
   return true;
@@ -110,32 +105,15 @@ void put_tuple(std::vector<std::uint8_t>& out, const stream::Tuple& t) {
 constexpr std::uint32_t kFlagEndOfEpoch = 1u << 0;
 constexpr std::uint32_t kFlagDied = 1u << 1;
 
-// --- CRC32C table ----------------------------------------------------------
-
-constexpr std::uint32_t kCrcPoly = 0x82F63B78u;  // 0x1EDC6F41 reflected
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) ? (crc >> 1) ^ kCrcPoly : crc >> 1;
-    }
-    table[i] = crc;
-  }
-  return table;
-}
+// Fixed-size parts of the batch payloads (see the layout in wire.h).
+constexpr std::size_t kTupleBatchHead = 8 + 8 + 4 + 4;
+constexpr std::size_t kResultBatchHead = 8 + 4 + 4;
 
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed) noexcept {
-  static const std::array<std::uint32_t, 256> kTable = make_crc_table();
-  std::uint32_t crc = ~seed;
-  for (const std::uint8_t byte : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ byte) & 0xFFu];
-  }
-  return ~crc;
+  return simd::crc32c(data.data(), data.size(), seed);
 }
 
 const char* to_string(MsgType t) noexcept {
@@ -170,14 +148,18 @@ void append_frame(std::vector<std::uint8_t>& wire, MsgType type,
                   std::uint64_t seq, std::span<const std::uint8_t> payload,
                   std::uint16_t channel) {
   HAL_CHECK(payload.size() <= kMaxPayload, "frame payload exceeds kMaxPayload");
+  std::uint8_t header[kHeaderSize];
+  std::memcpy(header, kMagic, 4);
+  header[4] = kProtocolVersion;
+  header[5] = static_cast<std::uint8_t>(type);
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc = crc32c(payload);
+  std::memcpy(header + 6, &channel, 2);
+  std::memcpy(header + 8, &len, 4);
+  std::memcpy(header + 12, &crc, 4);
+  std::memcpy(header + 16, &seq, 8);
   wire.reserve(wire.size() + kHeaderSize + payload.size());
-  wire.insert(wire.end(), std::begin(kMagic), std::end(kMagic));
-  put_u8(wire, kProtocolVersion);
-  put_u8(wire, static_cast<std::uint8_t>(type));
-  put_u16(wire, channel);
-  put_u32(wire, static_cast<std::uint32_t>(payload.size()));
-  put_u32(wire, crc32c(payload));
-  put_u64(wire, seq);
+  wire.insert(wire.end(), header, header + kHeaderSize);
   wire.insert(wire.end(), payload.begin(), payload.end());
 }
 
@@ -206,15 +188,15 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   if (h[4] != kProtocolVersion) return error_ = DecodeStatus::kBadVersion;
   if (!valid_msg_type(h[5])) return error_ = DecodeStatus::kBadType;
 
-  Reader r(std::span<const std::uint8_t>(h + 6, kHeaderSize - 6));
   FrameHeader header;
   header.version = h[4];
   header.type = static_cast<MsgType>(h[5]);
   std::uint32_t len = 0;
   std::uint32_t crc = 0;
-  const bool ok = r.read_u16(header.channel) && r.read_u32(len) &&
-                  r.read_u32(crc) && r.read_u64(header.seq);
-  HAL_ASSERT(ok);  // header span is exactly kHeaderSize - 6 bytes
+  std::memcpy(&header.channel, h + 6, 2);
+  std::memcpy(&len, h + 8, 4);
+  std::memcpy(&crc, h + 12, 4);
+  std::memcpy(&header.seq, h + 16, 8);
   if (len > kMaxPayload) return error_ = DecodeStatus::kOversized;
   if (buffered() < kHeaderSize + len) return DecodeStatus::kNeedMore;
 
@@ -239,141 +221,150 @@ void FrameDecoder::reset() {
 // --- Message codecs --------------------------------------------------------
 
 std::vector<std::uint8_t> encode(const HelloMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, m.node_id);
-  put_u32(out, m.shard);
-  put_u64(out, m.resume_seq);
-  put_u64(out, m.granted_through_seq);
-  return out;
+  Writer w(4 + 4 + 8 + 8);
+  w.put(m.node_id);
+  w.put(m.shard);
+  w.put(m.resume_seq);
+  w.put(m.granted_through_seq);
+  return w.finish();
 }
 
 bool decode(std::span<const std::uint8_t> payload, HelloMsg& m) {
   Reader r(payload);
-  return r.read_u32(m.node_id) && r.read_u32(m.shard) &&
-         r.read_u64(m.resume_seq) && r.read_u64(m.granted_through_seq) &&
-         r.done();
+  return r.read(m.node_id) && r.read(m.shard) && r.read(m.resume_seq) &&
+         r.read(m.granted_through_seq) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const CreditMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.granted_through_seq);
-  return out;
+  Writer w(8);
+  w.put(m.granted_through_seq);
+  return w.finish();
 }
 
 bool decode(std::span<const std::uint8_t> payload, CreditMsg& m) {
   Reader r(payload);
-  return r.read_u64(m.granted_through_seq) && r.done();
+  return r.read(m.granted_through_seq) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const AckMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.cumulative_seq);
-  return out;
+  Writer w(8);
+  w.put(m.cumulative_seq);
+  return w.finish();
 }
 
 bool decode(std::span<const std::uint8_t> payload, AckMsg& m) {
   Reader r(payload);
-  return r.read_u64(m.cumulative_seq) && r.done();
+  return r.read(m.cumulative_seq) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const ShutdownMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, m.reason);
-  return out;
+  Writer w(4);
+  w.put(m.reason);
+  return w.finish();
 }
 
 bool decode(std::span<const std::uint8_t> payload, ShutdownMsg& m) {
   Reader r(payload);
-  return r.read_u32(m.reason) && r.done();
+  return r.read(m.reason) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const WatermarkMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.epoch);
-  put_u64(out, m.r_count);
-  put_u64(out, m.s_count);
-  return out;
+  Writer w(8 + 8 + 8);
+  w.put(m.epoch);
+  w.put(m.r_count);
+  w.put(m.s_count);
+  return w.finish();
 }
 
 bool decode(std::span<const std::uint8_t> payload, WatermarkMsg& m) {
   Reader r(payload);
-  return r.read_u64(m.epoch) && r.read_u64(m.r_count) &&
-         r.read_u64(m.s_count) && r.done();
+  return r.read(m.epoch) && r.read(m.r_count) && r.read(m.s_count) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const TupleBatchMsg& m) {
-  std::vector<std::uint8_t> out;
-  out.reserve(24 + m.tuples.size() * kTupleWireSize);
-  put_u64(out, m.epoch);
-  put_u64(out, m.link_seq);
-  put_u32(out, m.end_of_epoch ? kFlagEndOfEpoch : 0);
-  put_u32(out, static_cast<std::uint32_t>(m.tuples.size()));
-  for (const stream::Tuple& t : m.tuples) put_tuple(out, t);
-  return out;
+  HAL_CHECK(m.horizons.empty() || m.horizons.size() == m.tuples.size(),
+            "a horizon column must hold one horizon per tuple");
+  Writer w(kTupleBatchHead + m.tuples.size() * kTupleWireSize + 4 +
+           m.horizons.size() * 8);
+  w.put(m.epoch);
+  w.put(m.link_seq);
+  w.put(m.end_of_epoch ? kFlagEndOfEpoch : std::uint32_t{0});
+  w.put(static_cast<std::uint32_t>(m.tuples.size()));
+  for (const stream::Tuple& t : m.tuples) put_tuple(w, t);
+  w.put(static_cast<std::uint32_t>(m.horizons.size()));
+  w.put_bytes(m.horizons.data(), m.horizons.size() * 8);
+  return w.finish();
 }
 
 bool decode(std::span<const std::uint8_t> payload, TupleBatchMsg& m) {
   Reader r(payload);
   std::uint32_t flags = 0;
   std::uint32_t count = 0;
-  if (!r.read_u64(m.epoch) || !r.read_u64(m.link_seq) || !r.read_u32(flags) ||
-      !r.read_u32(count)) {
+  if (!r.read(m.epoch) || !r.read(m.link_seq) || !r.read(flags) ||
+      !r.read(count)) {
     return false;
   }
   if ((flags & ~kFlagEndOfEpoch) != 0) return false;
   m.end_of_epoch = (flags & kFlagEndOfEpoch) != 0;
-  // Count must match the remaining bytes exactly; checking before the
-  // reserve keeps a corrupt count from over-allocating.
-  if (r.remaining() != static_cast<std::size_t>(count) * kTupleWireSize) {
-    return false;
-  }
-  m.tuples.clear();
-  m.tuples.reserve(count);
+  // The tuples and the horizon count must fit the remaining bytes;
+  // checking before the resize keeps a corrupt count from over-allocating.
+  const std::size_t tuple_bytes = std::size_t{count} * kTupleWireSize;
+  if (r.remaining() < tuple_bytes + 4) return false;
+  m.tuples.resize(count);
+  const std::uint8_t* p = r.take(tuple_bytes);
   for (std::uint32_t i = 0; i < count; ++i) {
-    stream::Tuple t;
-    if (!read_tuple(r, t)) return false;
-    m.tuples.push_back(t);
+    if (!read_tuple(p + i * kTupleWireSize, m.tuples[i])) return false;
+  }
+  std::uint32_t horizon_count = 0;
+  if (!r.read(horizon_count)) return false;
+  if (horizon_count != 0 && horizon_count != count) return false;
+  if (r.remaining() != std::size_t{horizon_count} * 8) return false;
+  m.horizons.resize(horizon_count);
+  if (horizon_count != 0) {
+    std::memcpy(m.horizons.data(), r.take(r.remaining()),
+                m.horizons.size() * 8);
   }
   return r.done();
 }
 
 std::vector<std::uint8_t> encode(const ResultBatchMsg& m) {
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + m.results.size() * 2 * kTupleWireSize);
-  put_u64(out, m.epoch);
+  Writer w(kResultBatchHead + m.results.size() * 2 * kTupleWireSize + 8);
+  w.put(m.epoch);
   std::uint32_t flags = 0;
   if (m.end_of_epoch) flags |= kFlagEndOfEpoch;
   if (m.died) flags |= kFlagDied;
-  put_u32(out, flags);
-  put_u32(out, static_cast<std::uint32_t>(m.results.size()));
+  w.put(flags);
+  w.put(static_cast<std::uint32_t>(m.results.size()));
   for (const stream::ResultTuple& rt : m.results) {
-    put_tuple(out, rt.r);
-    put_tuple(out, rt.s);
+    put_tuple(w, rt.r);
+    put_tuple(w, rt.s);
   }
-  return out;
+  w.put(m.stale_pairs);
+  return w.finish();
 }
 
 bool decode(std::span<const std::uint8_t> payload, ResultBatchMsg& m) {
   Reader r(payload);
   std::uint32_t flags = 0;
   std::uint32_t count = 0;
-  if (!r.read_u64(m.epoch) || !r.read_u32(flags) || !r.read_u32(count)) {
+  if (!r.read(m.epoch) || !r.read(flags) || !r.read(count)) {
     return false;
   }
   if ((flags & ~(kFlagEndOfEpoch | kFlagDied)) != 0) return false;
   m.end_of_epoch = (flags & kFlagEndOfEpoch) != 0;
   m.died = (flags & kFlagDied) != 0;
-  if (r.remaining() != static_cast<std::size_t>(count) * 2 * kTupleWireSize) {
-    return false;
-  }
-  m.results.clear();
-  m.results.reserve(count);
+  const std::size_t pair_bytes = std::size_t{count} * 2 * kTupleWireSize;
+  if (r.remaining() != pair_bytes + 8) return false;
+  m.results.resize(count);
+  const std::uint8_t* p = r.take(pair_bytes);
   for (std::uint32_t i = 0; i < count; ++i) {
-    stream::ResultTuple rt;
-    if (!read_tuple(r, rt.r) || !read_tuple(r, rt.s)) return false;
-    m.results.push_back(rt);
+    const std::uint8_t* pair = p + i * 2 * kTupleWireSize;
+    if (!read_tuple(pair, m.results[i].r) ||
+        !read_tuple(pair + kTupleWireSize, m.results[i].s)) {
+      return false;
+    }
   }
-  return r.done();
+  return r.read(m.stale_pairs) && r.done();
 }
 
 }  // namespace hal::net

@@ -20,6 +20,23 @@
 //   16     8     sequence number (data frames; 0 on unsequenced control)
 //   24     N     payload
 //
+// Message payloads follow the header, every field a fixed-width
+// little-endian integer copied whole (the codec requires a little-endian
+// host). A tuple is 17 bytes: key u32 | value u32 | seq u64 | origin u8.
+//
+//   TupleBatch   epoch u64 | link_seq u64 | flags u32 | count u32 |
+//                count tuples | horizon_count u32 | horizon_count u64
+//   ResultBatch  epoch u64 | flags u32 | count u32 | count (r, s) tuple
+//                pairs | stale_pairs u64
+//
+// horizon_count is 0 (no column) or exactly count; any other value is
+// malformed.
+//
+// Version history:
+//   1  the first cluster wire.
+//   2  TupleBatch gains the ingress horizon column and ResultBatch the
+//      stale-pair count (exact-global windows are filtered at the worker).
+//
 // Decoding is fuzz-safe by construction: every read is bounds-checked
 // against the buffered byte count, truncated input parks as kNeedMore,
 // and any malformed header or payload yields a typed error — never
@@ -36,7 +53,7 @@
 
 namespace hal::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderSize = 24;
 // Caps a frame's payload so a corrupted length field can never trigger an
 // unbounded allocation (16 MiB >> any batch the cluster ships).
@@ -75,8 +92,9 @@ enum class DecodeStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(DecodeStatus s) noexcept;
 
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected) — the checksum
-// iSCSI/ext4/NVMe and NIC offloads standardize on. Table-driven software
-// implementation; `seed` allows incremental computation.
+// iSCSI/ext4/NVMe and NIC offloads standardize on. Forwards to
+// simd::crc32c (the SSE4.2 instruction where the dispatch allows it, the
+// table otherwise); `seed` allows incremental computation.
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::uint8_t> data,
                                    std::uint32_t seed = 0) noexcept;
 
@@ -176,6 +194,10 @@ struct TupleBatchMsg {
   std::uint64_t link_seq = 0;
   bool end_of_epoch = false;
   std::vector<stream::Tuple> tuples;
+  // Ingress horizon of each tuple (cluster/router.h HorizonStamper), or
+  // empty when the link carries none. Non-empty means one per tuple. The
+  // explicit initializer lets aggregate initializations omit it.
+  std::vector<std::uint64_t> horizons = {};
 
   friend bool operator==(const TupleBatchMsg&, const TupleBatchMsg&) =
       default;
@@ -186,6 +208,9 @@ struct ResultBatchMsg {
   bool end_of_epoch = false;
   bool died = false;  // worker announced fail-stop
   std::vector<stream::ResultTuple> results;
+  // Stale pairs the worker's engine computed and the worker dropped, for
+  // the input these results cover (exact-global windows only).
+  std::uint64_t stale_pairs = 0;
 
   friend bool operator==(const ResultBatchMsg&, const ResultBatchMsg&) =
       default;

@@ -90,6 +90,33 @@ void scalar_hash_fib_hi16(const std::uint32_t* keys, std::size_t n,
   }
 }
 
+// Byte-wise table CRC32C (reflected 0x1EDC6F41), on the inverted register
+// the callers set up; the reference the SSE4.2 kernel must match.
+constexpr std::uint32_t kCrcPoly = 0x82F63B78u;
+
+struct CrcTable {
+  std::uint32_t entry[256];
+  constexpr CrcTable() : entry() {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? (crc >> 1) ^ kCrcPoly : crc >> 1;
+      }
+      entry[i] = crc;
+    }
+  }
+};
+
+constexpr CrcTable kCrcTable;
+
+std::uint32_t scalar_crc32c(const std::uint8_t* data, std::size_t n,
+                            std::uint32_t crc) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = (crc >> 8) ^ kCrcTable.entry[(crc ^ data[i]) & 0xFFu];
+  }
+  return crc;
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 kernels. Compiled with a per-function target attribute so the rest of
 // the TU (and the build) stays baseline-ISA; only ever called after
@@ -239,6 +266,24 @@ __attribute__((target("avx2"))) void avx2_hash_fib_hi16(
     out[i] = static_cast<std::uint32_t>(
         (static_cast<std::uint64_t>(keys[i]) * 2654435761ULL) >> 16);
   }
+}
+
+// The SSE4.2 crc32 instruction steps the same reflected register as the
+// table, so eight bytes per instruction, then the tail byte by byte.
+__attribute__((target("sse4.2"))) std::uint32_t sse42_crc32c(
+    const std::uint8_t* data, std::size_t n, std::uint32_t crc) noexcept {
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  std::uint64_t wide = crc;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data + i, sizeof word);
+    wide = _mm_crc32_u64(wide, word);
+  }
+  crc = static_cast<std::uint32_t>(wide);
+#endif
+  for (; i < n; ++i) crc = _mm_crc32_u8(crc, data[i]);
+  return crc;
 }
 
 #endif  // HAL_SIMD_HAVE_AVX2
@@ -560,6 +605,15 @@ void hash_fib_hi16(const std::uint32_t* keys, std::size_t n,
       scalar_hash_fib_hi16(keys, n, out);
       return;
   }
+}
+
+std::uint32_t crc32c(const std::uint8_t* data, std::size_t n,
+                     std::uint32_t seed) noexcept {
+  const std::uint32_t crc = ~seed;
+#if HAL_SIMD_HAVE_AVX2
+  if (resolve_active() == Isa::kAvx2) return ~sse42_crc32c(data, n, crc);
+#endif
+  return ~scalar_crc32c(data, n, crc);
 }
 
 std::uint64_t cycles_now() noexcept {

@@ -8,7 +8,7 @@
 // dispatch. The Hardware-Conscious Stream Processing survey's checklist
 // (PAPERS.md) motivates the shapes: key-equality probe (count + index
 // gather), the masked variant fused with the logical-expiry arrival
-// cutoff, and the ingress keyslot hash.
+// cutoff, the ingress keyslot hash, and the wire codec's CRC32C.
 //
 // Contract shared by every kernel:
 //   * Pointers need no particular alignment; `n` may be any size
@@ -83,6 +83,17 @@ std::size_t probe_collect_since(const std::uint32_t* keys,
 // cluster-layer constants).
 void hash_fib_hi16(const std::uint32_t* keys, std::size_t n,
                    std::uint32_t* out) noexcept;
+
+// --- Wire checksum kernel --------------------------------------------------
+
+// CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected) of [data, data+n),
+// continuing from `seed` (the CRC of the bytes before, 0 for none), so
+// crc32c(b, n, crc32c(a, m)) is the CRC of a followed by b. Under kAvx2 it
+// runs the SSE4.2 `crc32` instruction (every AVX2 CPU has SSE4.2), eight
+// bytes per step; every other ISA uses the byte-wise table, the reference
+// the kernel tests hold the hardware path to. net::crc32c forwards here.
+[[nodiscard]] std::uint32_t crc32c(const std::uint8_t* data, std::size_t n,
+                                   std::uint32_t seed = 0) noexcept;
 
 // --- Cycle counting (bench/kernel_cycles methodology) ----------------------
 

@@ -64,6 +64,37 @@ TEST(ClusterEngine, KeyHashExactMatchesOracle) {
   EXPECT_EQ(tuples_in, tuples.size());
 }
 
+// Key-hash workers hold the full W, so they compute stale pairs; each is
+// dropped at its worker before the wire and still counted, over loopback
+// links as in process, so every computed pair is merged or counted.
+TEST(ClusterEngine, StalePairsAreDroppedAtWorkersAndCounted) {
+  for (const auto link :
+       {net::TransportKind::kInProcess, net::TransportKind::kLoopback}) {
+    ClusterConfig cfg = base_config();
+    cfg.partitioning = Partitioning::kKeyHash;
+    cfg.shards = 2;
+    cfg.transport.link_transport = link;
+    ClusterEngine engine(cfg);
+    const auto tuples = workload(900, 37);
+    for (std::size_t at = 0; at < tuples.size(); at += 300) {
+      (void)engine.process({tuples.begin() + static_cast<std::ptrdiff_t>(at),
+                            tuples.begin() +
+                                static_cast<std::ptrdiff_t>(at + 300)});
+    }
+    ReferenceJoin oracle(cfg.window_size, cfg.spec);
+    const auto results = engine.take_results();
+    EXPECT_EQ(normalize(results), normalize(oracle.process_all(tuples)));
+    // Emission order: by probing tuple, then r, then s.
+    EXPECT_TRUE(std::is_sorted(results.begin(), results.end(),
+                               emission_before));
+    const ClusterReport rep = engine.report();
+    std::uint64_t computed = 0;
+    for (const auto& w : rep.workers) computed += w.results_out;
+    EXPECT_GT(rep.filtered_results, 0u);
+    EXPECT_EQ(rep.merged_results + rep.filtered_results, computed);
+  }
+}
+
 TEST(ClusterEngine, SplitGridExactMatchesOracleOnBandJoin) {
   ClusterConfig cfg = base_config();
   cfg.partitioning = Partitioning::kSplitGrid;
@@ -358,22 +389,74 @@ TEST(ClusterTransport, PipelineParamsMapOntoLinks) {
   EXPECT_GT(path.end_to_end_latency_us(), 40.0);
 }
 
-TEST(ClusterRouter, WindowTrackerMatchesReferenceSemantics) {
-  WindowTracker tracker;
+TEST(ClusterRouter, HorizonStamperMatchesReferenceSemantics) {
+  HorizonStamper stamper(2);
   std::vector<Tuple> tuples;
+  std::vector<std::uint64_t> horizons;
   for (std::uint32_t i = 0; i < 8; ++i) {
     Tuple t;
     t.key = 1;
     t.seq = i;
     t.origin = (i % 2 == 0) ? stream::StreamId::R : stream::StreamId::S;
     tuples.push_back(t);
-    tracker.observe(t);
+    horizons.push_back(stamper.stamp(t));
   }
   // W=2: R tuples seq {0,2,4,6}; probe s=seq7 sees window {4,6} only.
-  ResultTuple in_window{tuples[4], tuples[7]};
-  ResultTuple evicted{tuples[2], tuples[7]};
-  EXPECT_TRUE(tracker.pair_in_window(in_window, 2));
-  EXPECT_FALSE(tracker.pair_in_window(evicted, 2));
+  std::vector<ResultTuple> results = {{tuples[4], tuples[7]},
+                                      {tuples[2], tuples[7]}};
+  EXPECT_EQ(drop_stale_pairs(tuples, horizons, results), 1u);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0], (ResultTuple{tuples[4], tuples[7]}));
+}
+
+// Tuples shed before the ingress leave gaps in the seqs the stamper sees;
+// a shed tuple must advance no window. Every pair an unbounded-window join
+// of the admitted tuples finds survives the horizon rule iff the
+// W-window reference join of the same tuples emits it.
+TEST(ClusterRouter, HorizonStamperSkipsShedSeqGaps) {
+  constexpr std::size_t kWindow = 5;
+  std::vector<Tuple> admitted = workload(400, 23, 4);
+  std::uint64_t seq = 0;
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    seq += 1 + (i * 7919 % 5 == 0 ? 3 : 0);  // a shed run every ~5 tuples
+    admitted[i].seq = seq;
+  }
+  HorizonStamper stamper(kWindow);
+  std::vector<std::uint64_t> horizons;
+  for (const Tuple& t : admitted) horizons.push_back(stamper.stamp(t));
+
+  ReferenceJoin unbounded(admitted.size(), JoinSpec::equi_on_key());
+  std::vector<ResultTuple> results = unbounded.process_all(admitted);
+  const std::size_t all = results.size();
+  const std::size_t dropped = drop_stale_pairs(admitted, horizons, results);
+  ReferenceJoin oracle(kWindow, JoinSpec::equi_on_key());
+  const auto expected = normalize(oracle.process_all(admitted));
+  EXPECT_EQ(normalize(results), expected);
+  EXPECT_EQ(all - dropped, expected.size());
+  EXPECT_GT(dropped, 0u);
+}
+
+TEST(ClusterRouter, HorizonStamperStateIsBounded) {
+  constexpr std::size_t kWindow = 64;
+  HorizonStamper stamper(kWindow);
+  const std::vector<Tuple> tuples = workload(100 * kWindow, 29);
+  for (const Tuple& t : tuples) (void)stamper.stamp(t);
+  EXPECT_LE(stamper.held(), 2 * kWindow);
+}
+
+TEST(ClusterRouter, DropStalePairsRejectsAProbeOutsideTheBatch) {
+  HorizonStamper stamper(4);
+  std::vector<Tuple> batch = workload(8, 31);
+  std::vector<std::uint64_t> horizons;
+  for (const Tuple& t : batch) horizons.push_back(stamper.stamp(t));
+  Tuple later = batch.back();
+  later.seq += 100;
+  later.origin = stream::opposite(batch.front().origin);
+  std::vector<ResultTuple> results = {
+      later.origin == stream::StreamId::R ? ResultTuple{later, batch.front()}
+                                          : ResultTuple{batch.front(), later}};
+  EXPECT_THROW((void)drop_stale_pairs(batch, horizons, results),
+               PreconditionError);
 }
 
 }  // namespace

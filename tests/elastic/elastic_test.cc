@@ -20,6 +20,7 @@
 #include "stream/generator.h"
 #include "stream/reference_join.h"
 #include "sw/indexed_window.h"
+#include "support/param_printer.h"
 
 namespace hal::elastic {
 namespace {
@@ -134,6 +135,11 @@ struct RescaleCase {
   net::TransportKind link;  // cluster router/merger links
   net::TransportKind ship;  // controller's migration-image channel
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const RescaleCase& p, std::ostream* os) {
+  test_support::print_fields(p, os, &RescaleCase::link, &RescaleCase::ship);
+}
 
 class ElasticRescaleTest : public ::testing::TestWithParam<RescaleCase> {};
 
@@ -437,7 +443,9 @@ TEST(Elastic, ControllerMetricsExport) {
   (void)engine.process(workload(300, 77));
   (void)engine.take_results();
   (void)ctl.add_shards(1);
-  (void)engine.process(workload(300, 78));
+  std::vector<Tuple> second = workload(300, 78);
+  for (Tuple& t : second) t.seq += 300;  // seqs ascend across the run
+  (void)engine.process(second);
   (void)engine.take_results();
 
   obs::MetricRegistry reg;

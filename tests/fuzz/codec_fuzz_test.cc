@@ -67,6 +67,11 @@ std::vector<std::uint8_t> random_frame(Rng& rng, Frame& expected) {
       for (std::size_t i = 0; i < n; ++i) {
         m.tuples.push_back(random_tuple(rng));
       }
+      if ((rng.next_u64() & 1) != 0) {  // with or without horizons
+        for (std::size_t i = 0; i < n; ++i) {
+          m.horizons.push_back(rng.next_u64());
+        }
+      }
       payload = encode(m);
       break;
     }
@@ -80,6 +85,7 @@ std::vector<std::uint8_t> random_frame(Rng& rng, Frame& expected) {
       for (std::size_t i = 0; i < n; ++i) {
         m.results.push_back({random_tuple(rng), random_tuple(rng)});
       }
+      m.stale_pairs = rng.next_u64();
       payload = encode(m);
       break;
     }
@@ -183,6 +189,35 @@ TEST(CodecFuzz, BitFlipsAreDetectedOrHarmless) {
   }
   // CRC + header validation must catch the overwhelming majority.
   EXPECT_GE(detected, rounds / 2);
+}
+
+// Bit flips and cuts inside valid batch payloads (horizon columns and
+// stale-pair counts included) either fail to decode or decode to a value
+// that re-encodes to exactly the mutated bytes — never to something else.
+TEST(CodecFuzz, MutatedBatchPayloadsDecodeCanonicallyOrFail) {
+  Rng rng(0x4021204Eu);
+  for (int round = 0; round < 400; ++round) {
+    Frame expected;
+    (void)random_frame(rng, expected);
+    std::vector<std::uint8_t> payload = expected.payload;
+    if (payload.empty()) continue;
+    if ((rng.next_u64() & 1) != 0) {
+      payload[rng.next_u64() % payload.size()] ^=
+          static_cast<std::uint8_t>(1u << (rng.next_u64() % 8));
+    } else {
+      payload.resize(rng.next_u64() % payload.size());
+    }
+    TupleBatchMsg tb;
+    if (decode(payload, tb)) {
+      EXPECT_EQ(encode(tb), payload);
+      EXPECT_TRUE(tb.horizons.empty() ||
+                  tb.horizons.size() == tb.tuples.size());
+    }
+    ResultBatchMsg rb;
+    if (decode(payload, rb)) {
+      EXPECT_EQ(encode(rb), payload);
+    }
+  }
 }
 
 TEST(CodecFuzz, PayloadGarbageNeverDecodesIntoMessages) {

@@ -18,6 +18,7 @@
 #include "guard/guard.h"
 #include "stream/generator.h"
 #include "stream/reference_join.h"
+#include "support/param_printer.h"
 
 namespace hal::guard {
 namespace {
@@ -101,6 +102,13 @@ struct SwCase {
   bool zipf;
 };
 
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const SwCase& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &SwCase::backend, &SwCase::dispatch_batch,
+                             &SwCase::zipf);
+}
+
 std::string sw_case_name(const ::testing::TestParamInfo<SwCase>& info) {
   std::string name = core::to_string(info.param.backend);
   for (char& c : name) {
@@ -149,6 +157,12 @@ struct ClusterCase {
   std::size_t batch_size;
   bool zipf;
 };
+
+void PrintTo(const ClusterCase& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &ClusterCase::link, &ClusterCase::batch_size,
+                             &ClusterCase::zipf);
+}
 
 class ClusterShedPropertyTest
     : public ::testing::TestWithParam<ClusterCase> {};

@@ -19,6 +19,7 @@
 #include "hw/biflow/engine.h"
 #include "stream/generator.h"
 #include "stream/reference_join.h"
+#include "support/param_printer.h"
 
 namespace hal::hw {
 namespace {
@@ -67,6 +68,13 @@ struct BiParams {
   std::uint32_t key_domain;
   std::uint64_t seed;
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const BiParams& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &BiParams::cores, &BiParams::window,
+                             &BiParams::key_domain, &BiParams::seed);
+}
 
 std::string bi_name(const testing::TestParamInfo<BiParams>& info) {
   return "c" + std::to_string(info.param.cores) + "_w" +

@@ -8,6 +8,7 @@
 #include "hw/model/resource_model.h"
 #include "hw/model/timing_model.h"
 #include "hw/uniflow/engine.h"
+#include "support/param_printer.h"
 
 namespace hal::hw {
 namespace {
@@ -38,6 +39,13 @@ struct FitCase {
   bool expect_fits;
   const char* why;
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const FitCase& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &FitCase::flow, &FitCase::cores, &FitCase::window,
+                             &FitCase::expect_fits);
+}
 
 class V5FitTest : public testing::TestWithParam<FitCase> {};
 

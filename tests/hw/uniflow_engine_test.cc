@@ -6,6 +6,7 @@
 #include "hw/uniflow/engine.h"
 #include "stream/generator.h"
 #include "stream/reference_join.h"
+#include "support/param_printer.h"
 
 namespace hal::hw {
 namespace {
@@ -26,6 +27,14 @@ struct Params {
   KeyDistribution keys;
   std::uint32_t key_domain;
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const Params& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &Params::cores, &Params::window, &Params::dist,
+                             &Params::gather, &Params::keys,
+                             &Params::key_domain);
+}
 
 std::string param_name(const testing::TestParamInfo<Params>& info) {
   const Params& p = info.param;

@@ -160,6 +160,24 @@ TEST_P(RemoteClusterTest, SplitGridBandJoinMatchesOracle) {
   EXPECT_EQ(run.report.routed_tuples, 2 * tuples.size());
 }
 
+// Workers drop stale pairs before the wire and report them: every pair
+// the engines computed is either merged or counted as stale.
+TEST(RemoteCluster, StalePairsAreDroppedAtWorkersAndCounted) {
+  const auto tuples = workload(900, 21);
+  const RemoteClusterConfig cfg = base_remote_config();
+  const RemoteRun run =
+      run_remote(net::TransportKind::kLoopback, cfg,
+                 {{tuples.begin(), tuples.begin() + 450},
+                  {tuples.begin() + 450, tuples.end()}});
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  EXPECT_EQ(normalize(run.results), normalize(oracle.process_all(tuples)));
+  std::uint64_t computed = 0;
+  for (const auto& w : run.workers) computed += w.results_out;
+  EXPECT_GT(run.report.filtered_results, 0u);
+  EXPECT_EQ(run.report.merged_results + run.report.filtered_results,
+            computed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, RemoteClusterTest,
                          ::testing::Values(net::TransportKind::kLoopback,
                                            net::TransportKind::kUnix,

@@ -6,6 +6,8 @@
 
 #include <vector>
 
+#include "common/assert.h"
+
 namespace hal::net {
 namespace {
 
@@ -126,10 +128,93 @@ TEST(WireMessages, DecodeRejectsBadEnumAndCountMismatch) {
   bad[20] = 0xFF;  // count lives after epoch + link_seq (u64s) + flags (u32)
   TupleBatchMsg out;
   EXPECT_FALSE(decode(bad, out));
-  // Corrupt the origin byte of the only tuple (last byte of the payload).
+  // Corrupt the origin byte of the only tuple (after the 24-byte batch
+  // head and the tuple's key, value and seq).
   bad = payload;
-  bad.back() = 0x7F;
+  bad[24 + 16] = 0x7F;
   EXPECT_FALSE(decode(bad, out));
+}
+
+TEST(WireMessages, HorizonColumnAndStaleCountRoundTrip) {
+  TupleBatchMsg batch;
+  batch.epoch = 2;
+  batch.link_seq = 5;
+  batch.tuples = {make_tuple(1, 10, 100, StreamId::R),
+                  make_tuple(2, 20, 101, StreamId::S),
+                  make_tuple(3, 30, 102, StreamId::R)};
+  batch.horizons = {0, 0, 98};
+  TupleBatchMsg batch2;
+  ASSERT_TRUE(decode(encode(batch), batch2));
+  EXPECT_EQ(batch, batch2);
+  // No column at all stays no column (not a column of zeros).
+  batch.horizons.clear();
+  ASSERT_TRUE(decode(encode(batch), batch2));
+  EXPECT_TRUE(batch2.horizons.empty());
+  EXPECT_EQ(batch, batch2);
+
+  ResultBatchMsg results;
+  results.epoch = 7;
+  results.end_of_epoch = true;
+  results.stale_pairs = 0x0123456789ABCDEFull;
+  results.results = {{make_tuple(1, 10, 100, StreamId::R),
+                      make_tuple(1, 30, 102, StreamId::S)}};
+  ResultBatchMsg results2;
+  ASSERT_TRUE(decode(encode(results), results2));
+  EXPECT_EQ(results, results2);
+}
+
+TEST(WireMessages, HorizonColumnRejectsTruncationAndCountMismatch) {
+  TupleBatchMsg batch{.epoch = 1,
+                      .tuples = {make_tuple(1, 2, 3, StreamId::R),
+                                 make_tuple(4, 5, 6, StreamId::S)},
+                      .horizons = {0, 3}};
+  const std::vector<std::uint8_t> payload = encode(batch);
+  ASSERT_EQ(payload.size(), 24 + 2 * 17 + 4 + 2 * 8);
+  TupleBatchMsg out;
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        decode(std::span<const std::uint8_t>(payload.data(), len), out))
+        << "truncated to " << len;
+  }
+  std::vector<std::uint8_t> padded = payload;
+  padded.push_back(0);
+  EXPECT_FALSE(decode(padded, out)) << "trailing byte accepted";
+
+  // A horizon count other than 0 or the tuple count is malformed, even
+  // when the bytes for that many horizons are present.
+  const std::size_t count_at = 24 + 2 * 17;
+  for (const std::uint8_t count : {1, 3}) {
+    std::vector<std::uint8_t> bad = payload;
+    bad[count_at] = count;
+    bad.resize(count_at + 4 + count * 8, 0);
+    EXPECT_FALSE(decode(bad, out)) << "horizon count " << int{count};
+  }
+  // The encoder refuses to write such a column in the first place.
+  batch.horizons.push_back(9);
+  EXPECT_THROW((void)encode(batch), PreconditionError);
+}
+
+// Pins the version-2 tuple-batch layout byte for byte.
+TEST(WireMessages, TupleBatchGoldenBytes) {
+  const TupleBatchMsg batch{.epoch = 3,
+                            .link_seq = 4,
+                            .end_of_epoch = true,
+                            .tuples = {make_tuple(0x11223344, 0x55667788,
+                                                  0x0102030405060708,
+                                                  StreamId::S)},
+                            .horizons = {0xA1A2}};
+  const std::vector<std::uint8_t> expected = {
+      3, 0, 0, 0, 0, 0, 0, 0,                          // epoch
+      4, 0, 0, 0, 0, 0, 0, 0,                          // link_seq
+      1, 0, 0, 0,                                      // flags: end_of_epoch
+      1, 0, 0, 0,                                      // tuple count
+      0x44, 0x33, 0x22, 0x11, 0x88, 0x77, 0x66, 0x55,  // key, value
+      8, 7, 6, 5, 4, 3, 2, 1,                          // seq
+      1,                                               // origin S
+      1, 0, 0, 0,                                      // horizon count
+      0xA2, 0xA1, 0, 0, 0, 0, 0, 0};                   // horizon
+  EXPECT_EQ(encode(batch), expected);
+  EXPECT_EQ(kProtocolVersion, 2);
 }
 
 TEST(FrameDecoder, SingleAndMultipleFrames) {

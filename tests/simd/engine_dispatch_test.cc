@@ -19,6 +19,7 @@
 #include "stream/reference_join.h"
 #include "sw/handshake_join.h"
 #include "sw/probe_path.h"
+#include "support/param_printer.h"
 
 namespace hal::core {
 namespace {
@@ -86,6 +87,12 @@ struct Params {
   std::size_t batch;
   Isa isa;
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const Params& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &Params::backend, &Params::batch, &Params::isa);
+}
 
 std::string name(const testing::TestParamInfo<Params>& info) {
   std::string backend = to_string(info.param.backend);

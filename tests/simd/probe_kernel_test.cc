@@ -7,6 +7,7 @@
 // they call simd:: without re-checking results per call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -57,6 +58,27 @@ std::vector<std::uint32_t> ref_collect_since(const std::uint32_t* keys,
     }
   }
   return idx;
+}
+
+// Bit-at-a-time CRC32C (reflected 0x82F63B78): no table, no instruction —
+// the definition itself.
+std::uint32_t ref_crc32c(const std::uint8_t* data, std::size_t n,
+                         std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
 }
 
 // Lane shapes chosen to straddle the vector widths (8×u32 for AVX2, 4×u32
@@ -221,6 +243,30 @@ TEST_P(ProbeKernelIsaTest, HashMatchesKeyspaceMapLaneByLane) {
   }
 }
 
+TEST_P(ProbeKernelIsaTest, Crc32cMatchesBitwiseReference) {
+  const std::uint8_t digits[] = {'1', '2', '3', '4', '5',
+                                 '6', '7', '8', '9'};
+  EXPECT_EQ(crc32c(digits, sizeof digits), 0xE3069283u);  // check value
+  EXPECT_EQ(crc32c(nullptr, 0), 0u);
+  // Every length around the 8-byte step, then long buffers; each from an
+  // unaligned start and continuing a non-zero seed.
+  const std::vector<std::uint8_t> buf = random_bytes(4096 + 8, 41);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  for (const std::size_t n : {63, 64, 65, 1000, 1023, 4095, 4096}) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : sizes) {
+    for (const std::size_t offset : {0, 1, 3, 7}) {
+      for (const std::uint32_t seed : {0u, 0xE3069283u, 0xFFFFFFFFu}) {
+        ASSERT_EQ(crc32c(buf.data() + offset, n, seed),
+                  ref_crc32c(buf.data() + offset, n, seed))
+            << "n=" << n << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIsas, ProbeKernelIsaTest,
                          testing::Values(Isa::kScalar, Isa::kAvx2,
                                          Isa::kNeon),
@@ -270,6 +316,41 @@ TEST(ProbeKernelDifferential, WideIsaMatchesScalarByteForByte) {
   EXPECT_EQ(simd.collected_since, scalar.collected_since);
   EXPECT_EQ(simd.idx_since, scalar.idx_since);
   EXPECT_EQ(simd.hashes, scalar.hashes);
+}
+
+// The hardware CRC32C against the table, on identical bytes: sizes 0 to
+// 4096, unaligned starts, and a buffer hashed in pieces (each piece's CRC
+// seeding the next) equal to the whole.
+TEST(ProbeKernelDifferential, Crc32cHardwareMatchesTable) {
+  const Isa wide = detected_isa();
+  if (wide == Isa::kScalar) {
+    GTEST_SKIP() << "host detects scalar only; nothing to differentiate";
+  }
+  const std::vector<std::uint8_t> buf = random_bytes(4096 + 16, 43);
+  const auto crcs = [&](Isa isa) {
+    EXPECT_EQ(force_isa(isa), isa);
+    std::vector<std::uint32_t> out;
+    for (std::size_t n = 0; n <= 4096; n += (n < 64 ? 1 : 61)) {
+      for (const std::size_t offset : {0, 5, 13}) {
+        out.push_back(crc32c(buf.data() + offset, n));
+      }
+    }
+    for (const std::size_t piece : {1, 7, 8, 100, 1024}) {
+      std::uint32_t crc = 0;
+      for (std::size_t at = 0; at < 4096; at += piece) {
+        crc = crc32c(buf.data() + at, std::min(piece, 4096 - at), crc);
+      }
+      out.push_back(crc);
+    }
+    reset_isa();
+    return out;
+  };
+  const std::vector<std::uint32_t> table = crcs(Isa::kScalar);
+  EXPECT_EQ(crcs(wide), table);
+  const std::uint32_t whole = crc32c(buf.data(), 4096);
+  for (std::size_t i = table.size() - 5; i < table.size(); ++i) {
+    EXPECT_EQ(table[i], whole) << "incremental piece run " << i;
+  }
 }
 
 // --- Dispatch state machine ---------------------------------------------

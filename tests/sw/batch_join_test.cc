@@ -6,6 +6,7 @@
 #include "stream/generator.h"
 #include "stream/reference_join.h"
 #include "sw/batch_join.h"
+#include "support/param_printer.h"
 
 namespace hal::sw {
 namespace {
@@ -20,6 +21,13 @@ struct Params {
   std::size_t batch;
   std::uint32_t key_domain;
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const Params& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &Params::workers, &Params::window, &Params::batch,
+                             &Params::key_domain);
+}
 
 std::string name(const testing::TestParamInfo<Params>& info) {
   return "w" + std::to_string(info.param.workers) + "_win" +

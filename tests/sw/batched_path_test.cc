@@ -13,8 +13,6 @@
 // where the engine degenerates to the eager oracle.
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstring>
 #include <ostream>
 #include <set>
 #include <string>
@@ -25,6 +23,7 @@
 #include "stream/generator.h"
 #include "stream/reference_join.h"
 #include "sw/handshake_join.h"
+#include "support/param_printer.h"
 
 namespace hal::core {
 namespace {
@@ -96,15 +95,10 @@ std::string name(const testing::TestParamInfo<Params>& info) {
          (info.param.dist == KeyDistribution::kZipf ? "_zipf" : "_uni");
 }
 
-// gtest names each case after a byte dump of its parameter. The padding
-// after `backend` and `dist` is indeterminate, so the registered ctest
-// names changed from build to build; dump the fields over zeroed padding.
+// Stable ctest names (tests/support/param_printer.h).
 void PrintTo(const Params& p, std::ostream* os) {
-  unsigned char bytes[sizeof(Params)] = {};
-  std::memcpy(bytes + offsetof(Params, backend), &p.backend, sizeof p.backend);
-  std::memcpy(bytes + offsetof(Params, batch), &p.batch, sizeof p.batch);
-  std::memcpy(bytes + offsetof(Params, dist), &p.dist, sizeof p.dist);
-  testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+  test_support::print_fields(p, os, &Params::backend, &Params::batch,
+                             &Params::dist);
 }
 
 class BatchedPathTest : public testing::TestWithParam<Params> {};

@@ -9,6 +9,7 @@
 #include "stream/generator.h"
 #include "stream/reference_join.h"
 #include "sw/handshake_join.h"
+#include "support/param_printer.h"
 
 namespace hal::sw {
 namespace {
@@ -35,6 +36,13 @@ struct Params {
   std::uint32_t key_domain;
   std::uint64_t seed;
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const Params& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &Params::cores, &Params::window,
+                             &Params::key_domain, &Params::seed);
+}
 
 std::string name(const testing::TestParamInfo<Params>& info) {
   return "c" + std::to_string(info.param.cores) + "_w" +

@@ -9,6 +9,7 @@
 #include "stream/generator.h"
 #include "stream/reference_join.h"
 #include "sw/splitjoin.h"
+#include "support/param_printer.h"
 
 namespace hal::sw {
 namespace {
@@ -25,6 +26,13 @@ struct Params {
   std::uint32_t key_domain;
   KeyDistribution dist;
 };
+
+// Stable ctest names (tests/support/param_printer.h).
+void PrintTo(const Params& p, std::ostream* os) {
+  test_support::print_fields(p, os,
+                             &Params::cores, &Params::window,
+                             &Params::key_domain, &Params::dist);
+}
 
 std::string name(const testing::TestParamInfo<Params>& info) {
   return "c" + std::to_string(info.param.cores) + "_w" +
